@@ -333,14 +333,14 @@ def _budget_from(args) -> SearchBudget | None:
 
 def _cmd_invariants(args) -> int:
     ring = build_ring(args.ring_spec)
-    rep = report(ring, exact=args.exact, budget=_budget_from(args), workers=args.threads)
+    rep = report(ring, exact=args.exact, budget=_budget_from(args))
     print(serialize_report(rep) if args.json else _render_report(rep))
     return 0
 
 
 def _cmd_construct(args) -> int:
     ring = build_ring(args.ring_spec)
-    trace = construct_extremal(ring, workers=args.threads)
+    trace = construct_extremal(ring)
     if args.json:
         print(json.dumps(_trace_doc(trace), indent=2))
         return 0
@@ -364,7 +364,7 @@ def _cmd_construct(args) -> int:
 def _cmd_davenport(args) -> int:
     factors = [d for d in parse_group_spec(args.group_spec) if d > 1]
     group = synthetic_group(factors)
-    result = davenport(group, budget=_budget_from(args), workers=args.threads)
+    result = davenport(group, budget=_budget_from(args))
     if args.json:
         print(json.dumps({
             "group": group.label,
@@ -381,8 +381,8 @@ def _cmd_davenport(args) -> int:
 
 def _cmd_verify(args) -> int:
     ring = build_ring(args.ring_spec)
-    rep = report(ring, exact=True, budget=_budget_from(args), workers=args.threads)
-    trace = construct_extremal(ring, workers=args.threads)
+    rep = report(ring, exact=True, budget=_budget_from(args))
+    trace = construct_extremal(ring)
     checks = [
         ("exact value meets the lower bound", rep.exact_value >= rep.lower_bound),
         ("exact value meets the upper bound", rep.exact_value <= rep.ghw_upper),
@@ -458,12 +458,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                   description="Exact invariants of finite commutative rings")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=True):
-        if budget:
-            p.add_argument("--budget", type=int, default=None,
-                           help=f"search node budget (default from ${BUDGET_ENV})")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for the exhaustive searches")
+    def common(p):
+        p.add_argument("--budget", type=int, default=None,
+                       help=f"search node budget (default from ${BUDGET_ENV})")
 
     p = sub.add_parser("invariants", help="full invariant report for a ring")
     p.add_argument("ring_spec")
@@ -475,7 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build and verify the extremal free sequence")
     p.add_argument("ring_spec")
     p.add_argument("--json", action="store_true")
-    common(p, budget=False)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("davenport", help="exact Davenport constant of an abelian group")
@@ -508,17 +504,14 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc} (best free length proven: {exc.best_length})",
-              file=sys.stderr)
+        print(f"budget exceeded: {exc} (best free length proven: {exc.best_length}, "
+              f"nodes expanded: {exc.nodes})", file=sys.stderr)
         return 3
     except (InternalConsistencyError,) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -94,7 +94,7 @@ def _crt_lift(ring, moduli, target_pos, value):
     return crt_solve(ring, constraints)
 
 
-def construct_extremal(ring: FiniteRing, *, workers: int = 1,
+def construct_extremal(ring: FiniteRing, *,
                        budget: SearchBudget | None = None) -> ConstructionTrace:
     """Build and verify an idempotent-product-free sequence of length
     D(U(R)) - 1 + sum of (index - 1) over the maximal ideals.
@@ -127,7 +127,7 @@ def construct_extremal(ring: FiniteRing, *, workers: int = 1,
         all_lifted.extend(lifted)
         per_ideal.append(IdealConstruction(m, k, chosen, lifted, tuple(certs)))
 
-    dav = davenport(unit_group_view(ring), workers=workers, budget=budget)
+    dav = davenport(unit_group_view(ring), budget=budget)
     free = Sequence.make(ring, dav.witness.terms + tuple(all_lifted))
     lower = dav.value + sum(k - 1 for k in indices)
 
@@ -142,7 +142,7 @@ def construct_extremal(ring: FiniteRing, *, workers: int = 1,
 
 # exact search ----------------------------------------------------------------
 
-def _exact_search(ring, *, cap=EB_SEARCH_CAP, budget=None, workers=1):
+def _exact_search(ring, *, cap=EB_SEARCH_CAP, budget=None):
     if ring.order > cap and budget is None:
         raise BudgetExceeded(
             f"ring order {ring.order} exceeds the exact search cap {cap}; "
@@ -150,17 +150,16 @@ def _exact_search(ring, *, cap=EB_SEARCH_CAP, budget=None, workers=1):
     rows = ring.mul_rows()
     if rows is None:
         raise ValueError("exact search needs materialized operation tables")
-    length, wit = max_free_sequence(rows, range(ring.order), idempotents(ring),
-                                    budget=budget, workers=workers)
+    length, wit = max_free_sequence(rows, range(ring.order), idempotents(ring), budget=budget)
     return length + 1, Sequence.make(ring, wit)
 
 
 def exact_eb(ring: FiniteRing, *, cap: int = EB_SEARCH_CAP,
-             budget: SearchBudget | None = None, workers: int = 1) -> int:
+             budget: SearchBudget | None = None) -> int:
     """Smallest length forcing an idempotent subsequence product, by
     exhaustive canonical search; exact, with exhaustion certified by the
     completed search rather than any formula."""
-    value, _ = _exact_search(ring, cap=cap, budget=budget, workers=workers)
+    value, _ = _exact_search(ring, cap=cap, budget=budget)
     return value
 
 
@@ -329,14 +328,14 @@ def classify_equality_case(num_maximal: int, indices) -> str:
 
 
 def report(ring: FiniteRing, *, exact: bool = False, cap: int = EB_SEARCH_CAP,
-           budget: SearchBudget | None = None, workers: int = 1) -> InvariantReport:
+           budget: SearchBudget | None = None) -> InvariantReport:
     """Assemble every invariant for one ring.
 
     Without ``exact``, the exact value is filled from the lower bound only in
     the certified equality cases and flagged as formula-derived; otherwise an
     exhaustive search runs under the given cap and budget.
     """
-    trace = construct_extremal(ring, workers=workers, budget=budget)
+    trace = construct_extremal(ring, budget=budget)
     indices = [ic.index for ic in trace.per_ideal]
     summaries = tuple(
         MaximalIdealSummary(tuple(ring.name(g) for g in ic.ideal.generators),
@@ -348,7 +347,7 @@ def report(ring: FiniteRing, *, exact: bool = False, cap: int = EB_SEARCH_CAP,
     ghw = ring.order - len(idempotents(ring)) + 1
 
     if exact:
-        value = exact_eb(ring, cap=cap, budget=budget, workers=workers)
+        value = exact_eb(ring, cap=cap, budget=budget)
         formula = False
     elif case != UNKNOWN:
         value = trace.lower_bound

@@ -29,16 +29,15 @@ class BudgetExceeded(RuntimeError):
     """A search ran out of its node or wall-clock budget.
 
     ``best_length`` is the longest free sequence proven to exist before the
-    budget ran out: a lower bound only, explicitly not exact.
+    budget ran out: a lower bound only, explicitly not exact. ``nodes`` is the
+    number of search nodes expanded by then (0 when no search started).
     """
 
-    def __init__(self, message: str, best_length: int = 0):
+    def __init__(self, message: str, best_length: int = 0, nodes: int = 0):
         self.best_length = best_length
+        self.nodes = nodes
         self.exact = False
         super().__init__(message)
-
-    def __reduce__(self):
-        return (type(self), (self.args[0], self.best_length))
 
 
 class InternalConsistencyError(RuntimeError):

@@ -205,8 +205,7 @@ def is_zero_sum_free(view: AbelianGroupView, seq: Sequence) -> bool:
 
 
 def davenport(view: AbelianGroupView, *, cap: int = DAVENPORT_CAP,
-              budget: SearchBudget | None = None, workers: int = 1,
-              trust_formulas: bool = False) -> DavenportResult:
+              budget: SearchBudget | None = None, trust_formulas: bool = False) -> DavenportResult:
     """Smallest length forcing a subsequence with identity product.
 
     Exact search over canonical nondecreasing sequences of non-identity
@@ -229,7 +228,6 @@ def davenport(view: AbelianGroupView, *, cap: int = DAVENPORT_CAP,
     pos = {a: i for i, a in enumerate(view.elements)}
     rows = [[pos[view.op(a, b)] for b in view.elements] for a in view.elements]
     candidates = [pos[a] for a in view.elements if a != view.identity]
-    length, wit_pos = max_free_sequence(rows, candidates, {pos[view.identity]},
-                                        budget=budget, workers=workers)
+    length, wit_pos = max_free_sequence(rows, candidates, {pos[view.identity]}, budget=budget)
     witness = Sequence.make(view, tuple(view.elements[p] for p in wit_pos))
     return DavenportResult(length + 1, witness, view)

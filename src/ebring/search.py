@@ -3,27 +3,31 @@ idempotent-product solvers.
 
 Sequences are enumerated as canonical multisets: candidate elements in
 nondecreasing order, so every multiset is visited once. The DFS state is the
-product set of the chosen prefix together with the minimum candidate position
-still allowed; a branch dies as soon as its product set meets the forbidden
-set, which is exact because product sets only grow. States are memoized with
-an LRU-capped table mapping (product set, position) to the best extension
-depth proven from there.
+product set of the chosen prefix, held as a Python-int bitmask, together with
+the minimum candidate position still allowed; a branch dies as soon as its
+product set meets the forbidden mask, which is exact because product sets only
+grow. States are memoized with an LRU-capped table mapping (mask, position) to
+the best extension depth proven from there. The DFS runs on an explicit stack,
+so sequence length is not bounded by the interpreter's recursion limit.
 
-Optionally the top-level branches fan out to worker processes; results are
-merged by maximum length with ties going to the smallest leading candidate,
-so the outcome is identical to the sequential run regardless of schedule.
+The product step S·a = S | {a} | {s·a : s in S} ORs one table entry per
+nonzero byte of S: entry ``256*j + b`` of a's table is the mask of s·a over
+s = 8j + k for the set bits k of b. Above ``TABLE_CAP`` entries the tables go
+by element instead, and the step walks the set bits of S.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InternalConsistencyError
 
 MEMO_CAP = 1 << 20
+# Most byte-chunk table entries (candidates x chunks x 256) built eagerly:
+# covers every full search of order up to 128, at a few tens of MiB.
+TABLE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -33,63 +37,111 @@ class SearchBudget:
     max_seconds: float | None = None
 
 
+def _chunk_table(mul_rows, a: int, n: int) -> list[int]:
+    """Byte-chunk table of the product step by ``a`` (see the module docstring)."""
+    flat = []
+    for base in range(0, n, 8):
+        tab = [0]
+        for s in range(base, base + 8):
+            bit = 1 << int(mul_rows[s][a]) if s < n else 0
+            tab += [m | bit for m in tab]  # entry b now covers the low bits of b
+        flat += tab
+    return flat
+
+
 class _Engine:
-    def __init__(self, mul_rows, candidates, forbidden, budget, memo_cap):
-        self.rows = mul_rows
-        self.cands = tuple(candidates)
-        self.forbidden = frozenset(forbidden)
+    def __init__(self, mul_rows, candidates, forbidden, budget):
+        self.cands = tuple(int(a) for a in candidates)
+        self.bits = tuple(1 << a for a in self.cands)
+        self.forbidden = sum(1 << e for e in {int(e) for e in forbidden})
         self.memo: OrderedDict = OrderedDict()
-        self.memo_cap = memo_cap
         self.nodes = 0
         self.best_len = 0
-        self.enforce = budget is not None
         self.max_nodes = budget.max_nodes if budget else None
         self.deadline = (time.monotonic() + budget.max_seconds
                          if budget and budget.max_seconds is not None else None)
+        n = len(mul_rows)
+        self.nbytes = -(-n // 8)
+        self.chunked = len(self.cands) * self.nbytes * 256 <= TABLE_CAP
+        if self.chunked:
+            self.tables = [_chunk_table(mul_rows, a, n) for a in self.cands]
+        else:
+            bit_of = [1 << e for e in range(n)]
+            self.tables = [[bit_of[int(mul_rows[s][a])] for s in range(n)] for a in self.cands]
 
-    def expand(self, state, a):
-        row_of = self.rows
-        new = set(state)
-        new.add(a)
-        for s in state:
-            new.add(row_of[s][a])
-        return frozenset(new)
+    def keys(self, state):
+        """Positions in a candidate's table whose entries make up S·a for S = ``state``."""
+        if self.chunked:
+            return [256 * j + b for j, b in enumerate(state.to_bytes(self.nbytes, "little")) if b]
+        return [s for s in range(state.bit_length()) if state >> s & 1]
+
+    def expand(self, state, keys, idx):
+        tab = self.tables[idx]
+        new = state | self.bits[idx]
+        for k in keys:
+            new |= tab[k]
+        return new
+
+    def _visit(self):
+        if self.max_nodes is not None and self.nodes >= self.max_nodes:
+            raise BudgetExceeded("node budget exhausted", self.best_len, self.nodes)
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded("time budget exhausted", self.best_len, self.nodes)
+        self.nodes += 1
 
     def longest(self, state, start, depth):
+        """Most terms extending the state (``state``, ``start``), reached by a
+        prefix of length ``depth``, without meeting the forbidden mask. Runs on
+        an explicit stack, with memo lookups, stores and evictions in the order
+        of the plain recursion."""
+        memo, forbidden, expand, keys_of = self.memo, self.forbidden, self.expand, self.keys
+        ncands = len(self.cands)
         key = (state, start)
-        got = self.memo.get(key)
+        got = memo.get(key)
         if got is not None:
-            self.memo.move_to_end(key)
+            memo.move_to_end(key)
             return got
-        self.nodes += 1
-        if self.enforce:
-            if self.max_nodes is not None and self.nodes > self.max_nodes:
-                raise BudgetExceeded("node budget exhausted", self.best_len)
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise BudgetExceeded("time budget exhausted", self.best_len)
-        best = 0
-        for idx in range(start, len(self.cands)):
-            ns = self.expand(state, self.cands[idx])
-            if ns.isdisjoint(self.forbidden):
-                d = 1 + self.longest(ns, idx, depth + 1)
-                if d > best:
-                    best = d
-        if depth + best > self.best_len:
-            self.best_len = depth + best
-        self.memo[key] = best
-        if len(self.memo) > self.memo_cap:
-            self.memo.popitem(last=False)
-        return best
+        self._visit()
+        stack = []
+        keys, idx, best = keys_of(state), start, 0
+        while True:
+            while idx < ncands:
+                ns = expand(state, keys, idx)
+                if not ns & forbidden:
+                    key = (ns, idx)
+                    got = memo.get(key)
+                    if got is None:
+                        if ns == state:  # closed under ·a, so no power of a is forbidden
+                            raise ValueError("no free sequence is maximal: the forbidden "
+                                             "set holds no power of a candidate")
+                        self._visit()
+                        stack.append((state, start, depth, keys, idx, best))
+                        state, start, depth, keys, best = ns, idx, depth + 1, keys_of(ns), 0
+                        continue
+                    memo.move_to_end(key)
+                    best = max(best, got + 1)
+                idx += 1
+            if depth + best > self.best_len:
+                self.best_len = depth + best
+            memo[(state, start)] = best
+            if len(memo) > MEMO_CAP:
+                memo.popitem(last=False)
+            if not stack:
+                return best
+            state, start, depth, keys, idx, parent_best = stack.pop()
+            best = max(parent_best, best + 1)
+            idx += 1
 
-    def witness(self, total, state=frozenset(), start=0):
+    def witness(self, total):
         """Lexicographically least canonical sequence achieving the maximum."""
-        self.enforce = False
+        self.max_nodes = self.deadline = None
         seq = []
-        remaining = total
+        state, start, remaining = 0, 0, total
         while remaining > 0:
+            keys = self.keys(state)
             for idx in range(start, len(self.cands)):
-                ns = self.expand(state, self.cands[idx])
-                if ns.isdisjoint(self.forbidden) and self.longest(ns, idx, 0) == remaining - 1:
+                ns = self.expand(state, keys, idx)
+                if not ns & self.forbidden and self.longest(ns, idx, 0) == remaining - 1:
                     seq.append(self.cands[idx])
                     state, start, remaining = ns, idx, remaining - 1
                     break
@@ -98,55 +150,13 @@ class _Engine:
         return tuple(seq)
 
 
-def _run_branch(args):
-    rows, candidates, forbidden, idx, max_nodes, remaining_seconds, memo_cap = args
-    budget = None
-    if max_nodes is not None or remaining_seconds is not None:
-        budget = SearchBudget(max_nodes, remaining_seconds)
-    eng = _Engine(rows, candidates, forbidden, budget, memo_cap)
-    first = candidates[idx]
-    state = eng.expand(frozenset(), first)
-    sub = eng.longest(state, idx, 1)
-    return idx, 1 + sub, (first,) + eng.witness(sub, state, idx)
-
-
-def max_free_sequence(mul_rows, candidates, forbidden, *, budget: SearchBudget | None = None,
-                      memo_cap: int = MEMO_CAP, workers: int = 1):
+def max_free_sequence(mul_rows, candidates, forbidden, *, budget: SearchBudget | None = None):
     """Length of the longest sequence whose product set avoids ``forbidden``,
     plus the lexicographically least witness of that length.
 
     ``mul_rows`` is an indexable table of rows covering every index reachable
     by multiplying candidates together.
     """
-    candidates = tuple(sorted(candidates))
-    forbidden = frozenset(forbidden)
-    if workers > 1 and len(candidates) > 1:
-        return _parallel(mul_rows, candidates, forbidden, budget, memo_cap, workers)
-    eng = _Engine(mul_rows, candidates, forbidden, budget, memo_cap)
-    total = eng.longest(frozenset(), 0, 0)
+    eng = _Engine(mul_rows, sorted(candidates), forbidden, budget)
+    total = eng.longest(0, 0, 0)
     return total, eng.witness(total)
-
-
-def _parallel(mul_rows, candidates, forbidden, budget, memo_cap, workers):
-    rows = [[int(v) for v in row] for row in mul_rows]
-    probe = _Engine(rows, candidates, forbidden, None, memo_cap)
-    live = [idx for idx in range(len(candidates))
-            if probe.expand(frozenset(), candidates[idx]).isdisjoint(forbidden)]
-    if not live:
-        return 0, ()
-    max_nodes = budget.max_nodes if budget else None
-    remaining = budget.max_seconds if budget else None
-    jobs = [(rows, candidates, sorted(forbidden), idx, max_nodes, remaining, memo_cap)
-            for idx in live]
-    best = (0, ())
-    failure: BudgetExceeded | None = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            for idx, length, wit in pool.map(_run_branch, jobs):
-                if length > best[0]:
-                    best = (length, wit)
-        except BudgetExceeded as exc:
-            failure = exc
-    if failure is not None:
-        raise BudgetExceeded(str(failure), max(best[0], failure.best_length))
-    return best

@@ -138,8 +138,17 @@ def test_run_exit_codes(capsys, monkeypatch):
 
 
 def test_run_threads_validation(capsys):
-    assert run(["invariants", "Z/4", "--threads", "0"]) == 2
-    capsys.readouterr()
+    # the search is sequential; the old worker-count flag is an unknown option
+    assert run(["invariants", "Z/4", "--threads", "2"]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_budget_exhaustion_reports_nodes_on_stderr(capsys):
+    assert run(["davenport", "Z4xZ4", "--budget", "10", "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "best free length proven: " in err
+    assert "nodes expanded: 10)" in err
 
 
 def test_inspect_outputs(capsys):

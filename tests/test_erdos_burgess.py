@@ -11,7 +11,7 @@ from ebring import (ALL_INDICES_ONE, BOTH, BudgetExceeded, LOCAL,
                     squarefree_case_certificate, units)
 from ebring.erdos_burgess import _exact_search
 
-from conftest import family_ring, naive_eb
+from conftest import family_ring, is_free_sequence, naive_eb
 
 # frozen from the naive subset-product oracle (see conftest.naive_eb)
 ORACLE_VALUES = {
@@ -280,11 +280,12 @@ def test_ghw_bound_against_idempotent_count():
         assert exact_eb(ring) <= ring.order - len(idempotents(ring)) + 1
 
 
-def test_parallel_search_matches_sequential():
+def test_search_matches_brute_force_oracle():
     ring = family_ring("Z/12")
-    seq_value, seq_wit = _exact_search(ring)
-    par_value, par_wit = _exact_search(ring, workers=2)
-    assert (par_value, par_wit.terms) == (seq_value, seq_wit.terms)
+    value, wit = _exact_search(ring)
+    assert value == naive_eb(ring)
+    assert len(wit) == value - 1
+    assert is_free_sequence(ring, wit.terms)
 
 
 def test_product_ring_matches_its_modular_twin():

@@ -5,7 +5,7 @@ from ebring import (AbelianGroupView, BudgetExceeded, SearchBudget, davenport,
                     synthetic_group, unit_group_view)
 from ebring.sequences import Sequence, product_set
 
-from conftest import naive_davenport
+from conftest import naive_davenport, subset_products
 
 
 def test_invariant_factors_trivial_group():
@@ -137,12 +137,13 @@ def test_trust_formulas_matches_search_for_cyclic_groups():
         assert davenport(g, trust_formulas=True).value == davenport(g).value
 
 
-def test_parallel_matches_sequential():
+def test_search_matches_brute_force_oracle():
     for spec in ([3, 3], [2, 4]):
         g = synthetic_group(spec)
-        seq = davenport(g)
-        par = davenport(g, workers=2)
-        assert (par.value, par.witness.terms) == (seq.value, seq.witness.terms)
+        result = davenport(g)
+        assert result.value == naive_davenport(g)
+        assert len(result.witness) == result.value - 1
+        assert g.identity not in subset_products(g.op, result.witness.terms)
 
 
 def test_zero_sum_free_predicate():

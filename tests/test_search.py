@@ -1,0 +1,63 @@
+import pytest
+
+from ebring import BudgetExceeded, SearchBudget, davenport, idempotents, max_free_sequence, synthetic_group
+from ebring import search
+from ebring.erdos_burgess import _exact_search
+
+from conftest import FAMILY_SPECS, family_ring
+
+
+def _group_input(view):
+    pos = {a: i for i, a in enumerate(view.elements)}
+    rows = [[pos[view.op(a, b)] for b in view.elements] for a in view.elements]
+    return rows, [pos[a] for a in view.elements if a != view.identity], {pos[view.identity]}
+
+
+def _engine_run(rows, candidates, forbidden):
+    eng = search._Engine(rows, sorted(candidates), forbidden, None)
+    total = eng.longest(0, 0, 0)
+    nodes = eng.nodes
+    return eng, (total, eng.witness(total), nodes)
+
+
+def test_sequence_longer_than_the_recursion_limit():
+    n = 1201
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    assert max_free_sequence(rows, [1], {0}) == (n - 1, (1,) * (n - 1))
+
+
+def test_unreachable_forbidden_set_is_refused():
+    rows = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match="no free sequence is maximal"):
+        max_free_sequence(rows, [1], set())
+
+
+# each search returns its witness terms
+@pytest.mark.parametrize("search_fn, nodes, witness", [
+    (lambda b: _exact_search(family_ring("Z/16"), budget=b)[1].terms, 677, (2, 2, 2, 3, 3, 3, 5)),
+    (lambda b: _exact_search(family_ring("Z/12"), budget=b)[1].terms, 36, None),
+    (lambda b: davenport(synthetic_group([4, 4]), budget=b).witness.terms, 1375, (1, 1, 1, 4, 4, 4)),
+    (lambda b: davenport(synthetic_group([3, 3]), budget=b).witness.terms, 98, None),
+], ids=["exact-Z16", "exact-Z12", "davenport-Z4xZ4", "davenport-Z3xZ3"])
+def test_node_count_is_pinned_by_the_budget(search_fn, nodes, witness):
+    terms = search_fn(SearchBudget(max_nodes=nodes))
+    assert witness is None or terms == witness
+    with pytest.raises(BudgetExceeded) as err:
+        search_fn(SearchBudget(max_nodes=nodes - 1))
+    assert err.value.nodes == nodes - 1
+
+
+def test_bit_walk_kernel_matches_the_tables(monkeypatch):
+    inputs = [(ring.mul_rows(), range(ring.order), idempotents(ring))
+              for ring in map(family_ring, FAMILY_SPECS)]
+    inputs += [_group_input(synthetic_group(spec)) for spec in ([3, 3], [2, 4], [2, 2, 2])]
+    tabled = []
+    for args in inputs:
+        eng, got = _engine_run(*args)
+        assert eng.chunked
+        tabled.append(got)
+    monkeypatch.setattr(search, "TABLE_CAP", 0)
+    for args, want in zip(inputs, tabled):
+        eng, got = _engine_run(*args)
+        assert not eng.chunked
+        assert got == want
