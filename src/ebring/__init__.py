@@ -11,8 +11,8 @@ from .rings import (FiniteRing, TABLE_CAP, VALIDATION_CAP, idempotents,
                     units, validate_ring)
 from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
                      ideal_power, ideal_product, ideal_sum, is_valid_ideal,
-                     maximal_ideals, nilradical, quotient_ring, unit_ideal,
-                     zero_ideal)
+                     maximal_ideals, nilradical, power_chain, quotient_ring,
+                     unit_ideal, zero_ideal)
 from .sequences import (Sequence, concat, empty_sequence,
                         is_idempotent_product_free, product_set,
                         sequence_product, subsequences_iter)
@@ -27,6 +27,17 @@ from .erdos_burgess import (ALL_INDICES_ONE, BOTH, LOCAL, UNKNOWN,
                             dedekind_crosscheck_int, dedekind_crosscheck_poly,
                             exact_eb, local_case_certificate, report,
                             squarefree_case_certificate)
-from .cli import RingSpec, build_ring, parse_group_spec, parse_ring_spec, serialize_report
 
 __version__ = "0.1.0"
+
+# The CLI module is imported on first use, so that `python -m ebring.cli` runs
+# it once, as __main__, instead of after a first import through this package.
+_CLI_NAMES = {"RingSpec", "build_ring", "parse_group_spec", "parse_ring_spec",
+              "serialize_report"}
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -381,8 +381,9 @@ def _cmd_davenport(args) -> int:
 
 def _cmd_verify(args) -> int:
     ring = build_ring(args.ring_spec)
-    rep = report(ring, exact=True, budget=_budget_from(args))
-    trace = construct_extremal(ring)
+    budget = _budget_from(args)
+    trace = construct_extremal(ring, budget=budget)
+    rep = report(ring, exact=True, budget=budget, trace=trace)
     checks = [
         ("exact value meets the lower bound", rep.exact_value >= rep.lower_bound),
         ("exact value meets the upper bound", rep.exact_value <= rep.ghw_upper),
@@ -523,3 +524,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

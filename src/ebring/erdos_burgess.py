@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from . import gfpoly
 from .errors import BudgetExceeded, InternalConsistencyError
 from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
-                     ideal_power, maximal_ideals)
-from .rings import FiniteRing, idempotents, make_gf, make_poly_quotient, make_zmod, units
+                     maximal_ideals, power_chain)
+from .rings import (FiniteRing, idempotents, make_gf, make_poly_quotient, make_zmod,
+                    prime_factors, units)
 from .search import SearchBudget, max_free_sequence
 from .sequences import Sequence, is_idempotent_product_free
 from .groups import davenport, invariant_factors, unit_group_view
@@ -105,16 +106,16 @@ def construct_extremal(ring: FiniteRing, *,
     any, limits the unit-group Davenport search.
     """
     maxi = maximal_ideals(ring)
-    indices = [ideal_index(m) for m in maxi]
-    stationary = [ideal_power(m, k) for m, k in zip(maxi, indices)]
+    chains = [power_chain(m) for m in maxi]
+    indices = [len(powers) - 1 for powers in chains]
+    stationary = [powers[-1] for powers in chains]
 
     per_ideal = []
     all_lifted = []
-    for pos, (m, k) in enumerate(zip(maxi, indices)):
+    for pos, (m, k, powers) in enumerate(zip(maxi, indices, chains)):
         if k < 2:
             per_ideal.append(IdealConstruction(m, k, (), (), ()))
             continue
-        powers = [ideal_power(m, j) for j in range(k + 1)]
         chosen = _depth_tuple(ring, m, powers, k)
         certs = []
         prod = ring.one
@@ -328,14 +329,19 @@ def classify_equality_case(num_maximal: int, indices) -> str:
 
 
 def report(ring: FiniteRing, *, exact: bool = False, cap: int = EB_SEARCH_CAP,
-           budget: SearchBudget | None = None) -> InvariantReport:
+           budget: SearchBudget | None = None,
+           trace: ConstructionTrace | None = None) -> InvariantReport:
     """Assemble every invariant for one ring.
 
     Without ``exact``, the exact value is filled from the lower bound only in
     the certified equality cases and flagged as formula-derived; otherwise an
-    exhaustive search runs under the given cap and budget.
+    exhaustive search runs under the given cap and budget. ``trace`` is the
+    ring's ``construct_extremal`` result when the caller already has it.
     """
-    trace = construct_extremal(ring, budget=budget)
+    if trace is None:
+        trace = construct_extremal(ring, budget=budget)
+    elif trace.ring is not ring:
+        raise ValueError("construction trace belongs to a different ring")
     indices = [ic.index for ic in trace.per_ideal]
     summaries = tuple(
         MaximalIdealSummary(tuple(ring.name(g) for g in ic.ideal.generators),
@@ -390,41 +396,26 @@ class CoincidenceRecord:
     index_sum: int
 
 
-def _factor_int(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        k = 0
-        while n % d == 0:
-            n //= d
-            k += 1
-        if k:
-            out.append((d, k))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def dedekind_crosscheck_int(n: int) -> CoincidenceRecord:
     """Check that the per-prime ideal indices of Z/n reproduce the prime
     factorization: Ind((p)) equals the multiplicity of p, and the index sum
     equals the multiplicity excess of n."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    factors = _factor_int(n)
+    factors = list(prime_factors(n))
     big = sum(k for _, k in factors)
     small = len(factors)
     ring = make_zmod(n)
     maxi = maximal_ideals(ring)
+    indices = [ideal_index(m) for m in maxi]
     per_prime = []
     seen = set()
     for p, k in factors:
         gen = ideal_generated_by(ring, [p % n])
-        match = next((m for m in maxi if m == gen), None)
-        if match is None:
+        pos = next((i for i, m in enumerate(maxi) if m == gen), None)
+        if pos is None:
             raise InternalConsistencyError(f"({p}) is not a maximal ideal of Z/{n}")
-        idx = ideal_index(match)
+        match, idx = maxi[pos], indices[pos]
         if idx != k:
             raise InternalConsistencyError(
                 f"Ind(({p})) = {idx} but the factorization multiplicity is {k}")
@@ -432,7 +423,7 @@ def dedekind_crosscheck_int(n: int) -> CoincidenceRecord:
         per_prime.append((str(p), idx))
     if len(seen) != len(maxi):
         raise InternalConsistencyError("maximal ideal count disagrees with the factorization")
-    index_sum = sum(ideal_index(m) - 1 for m in maxi)
+    index_sum = sum(k - 1 for k in indices)
     if index_sum != big - small:
         raise InternalConsistencyError(
             f"index sum {index_sum} disagrees with multiplicity excess {big - small}")
@@ -455,6 +446,7 @@ def dedekind_crosscheck_poly(q: int, f, cap: int = 4096) -> CoincidenceRecord:
     small = len(factors)
     ring = make_poly_quotient(base, f)
     maxi = maximal_ideals(ring)
+    indices = [ideal_index(m) for m in maxi]
     per_prime = []
     seen = set()
     for g, k in factors:
@@ -463,11 +455,11 @@ def dedekind_crosscheck_poly(q: int, f, cap: int = 4096) -> CoincidenceRecord:
         for e in range(len(residue) - 1, -1, -1):
             enc = enc * base.order + residue[e]
         gen = ideal_generated_by(ring, [enc])
-        match = next((m for m in maxi if m == gen), None)
-        if match is None:
+        pos = next((i for i, m in enumerate(maxi) if m == gen), None)
+        if pos is None:
             raise InternalConsistencyError(
                 f"({gfpoly.render(base, g)}) is not maximal in {ring.label}")
-        idx = ideal_index(match)
+        match, idx = maxi[pos], indices[pos]
         if idx != k:
             raise InternalConsistencyError(
                 f"Ind(({gfpoly.render(base, g)})) = {idx} but multiplicity is {k}")
@@ -475,7 +467,7 @@ def dedekind_crosscheck_poly(q: int, f, cap: int = 4096) -> CoincidenceRecord:
         per_prime.append((gfpoly.render(base, g), idx))
     if len(seen) != len(maxi):
         raise InternalConsistencyError("maximal ideal count disagrees with the factorization")
-    index_sum = sum(ideal_index(m) - 1 for m in maxi)
+    index_sum = sum(k - 1 for k in indices)
     if index_sum != big - small:
         raise InternalConsistencyError(
             f"index sum {index_sum} disagrees with multiplicity excess {big - small}")

@@ -1,8 +1,12 @@
 """Ideal arithmetic: generation, sum, product, powers, index, nilradical,
 maximal-ideal enumeration, quotient rings and coset-intersection CRT solving.
 
-All operations are pure functions of immutable inputs. Closures are computed
-by worklist BFS over membership sets, which is exact at desk scale.
+All operations are pure functions of immutable inputs. ``Ideal.members`` is
+a frozenset, but the work is done on boolean membership masks and index
+arrays through the ring's vectorized ``vadd``/``vmul``, so the same code runs
+on tables and, above the table cap, on the constructors' kernels. Additive
+closures come from ``rings.additive_span``: each enlarging seed adds its
+cosets in doubling steps.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .rings import FiniteRing, VALIDATION_CAP, idempotents, is_field
+from .rings import (FiniteRing, VALIDATION_CAP, additive_span, idempotents,
+                    is_field)
 
 
 @dataclass(frozen=True)
@@ -58,37 +63,37 @@ class Ideal:
         return f"Ideal({self.ring.label}, {self.render()}, size={self.size})"
 
 
-def _additive_closure(ring, seeds) -> frozenset[int]:
-    members = {ring.zero}
-    seeds = sorted(set(seeds))
-    frontier = [ring.zero]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for s in seeds:
-                y = ring.add(m, s)
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(members)
+def _array(members) -> np.ndarray:
+    return np.fromiter(members, dtype=np.int64, count=len(members))
 
 
-def _ideal_closure(ring, gens) -> frozenset[int]:
-    seeds = {ring.mul(g, r) for g in gens for r in ring.elements}
-    return _additive_closure(ring, seeds)
+def _mask(ring, indices) -> np.ndarray:
+    mask = np.zeros(ring.order, dtype=bool)
+    mask[indices] = True
+    return mask
+
+
+def _members(mask) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
+def _ideal_closure(ring, gens, within=None) -> np.ndarray:
+    """Mask of the ideal generated by gens and the ideal masked by ``within``."""
+    seeds = ring.vmul(np.asarray(gens, dtype=np.int64)[:, None], ring.element_array()[None, :])
+    return additive_span(ring, seeds, within)[0]
 
 
 def _greedy_generators(ring, members) -> tuple[int, ...]:
+    """Least members, ascending, each outside the ideal the earlier ones generate."""
+    candidates = np.sort(_array(members))
+    have = _mask(ring, [ring.zero])
     gens: list[int] = []
-    have: frozenset[int] = frozenset({ring.zero})
-    for x in sorted(members):
-        if x not in have:
-            gens.append(x)
-            have = _ideal_closure(ring, gens)
-            if have == members:
-                break
-    return tuple(gens)
+    while True:
+        missing = candidates[~have[candidates]]
+        if not missing.size:
+            return tuple(gens)
+        gens.append(int(missing[0]))
+        have = _ideal_closure(ring, gens[-1:], have)
 
 
 def _make_ideal(ring, members) -> Ideal:
@@ -105,8 +110,7 @@ def unit_ideal(ring: FiniteRing) -> Ideal:
 
 def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
     """Smallest ideal containing the given elements."""
-    members = _ideal_closure(ring, tuple(gens))
-    return _make_ideal(ring, members)
+    return _make_ideal(ring, _members(_ideal_closure(ring, tuple(gens))))
 
 
 def _check_same_ring(a: Ideal, b: Ideal):
@@ -114,54 +118,57 @@ def _check_same_ring(a: Ideal, b: Ideal):
         raise ValueError("ideals belong to different rings")
 
 
+def _sum_mask(a: Ideal, b: Ideal) -> np.ndarray:
+    return additive_span(a.ring, _array(b.members), _mask(a.ring, _array(a.members)))[0]
+
+
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     _check_same_ring(a, b)
-    ring = a.ring
-    members = frozenset(ring.add(x, y) for x in a.members for y in b.members)
-    return _make_ideal(ring, members)
+    return _make_ideal(a.ring, _members(_sum_mask(a, b)))
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
+    """The additive span of all x·y (x in a, y in b). Since x·y is additive in
+    x, x may range over an additive generating set of a only."""
     _check_same_ring(a, b)
     ring = a.ring
-    seeds = {ring.mul(x, y) for x in a.members for y in b.members}
-    return _make_ideal(ring, _additive_closure(ring, seeds))
+    gens = np.asarray(additive_span(ring, _array(a.members))[1], dtype=np.int64)
+    seeds = ring.vmul(gens[:, None], _array(b.members)[None, :])
+    return _make_ideal(ring, _members(additive_span(ring, seeds)[0]))
+
+
+def power_chain(n: Ideal) -> list[Ideal]:
+    """The powers N^0 (the whole ring), N^1, ..., N^k up to the first k with
+    N^k = N^(k+1); k is the index of N and the chain is stationary from there."""
+    chain = [unit_ideal(n.ring)]
+    nxt = n
+    while nxt.members != chain[-1].members:
+        chain.append(nxt)
+        nxt = ideal_product(nxt, n)
+    return chain
 
 
 def ideal_power(n: Ideal, i: int) -> Ideal:
     """i-th power of an ideal; the 0-th power is the whole ring."""
     if i < 0:
         raise ValueError("ideal powers need a nonnegative exponent")
-    acc = unit_ideal(n.ring)
-    for _ in range(i):
-        acc = ideal_product(acc, n)
-    return acc
+    chain = power_chain(n)
+    return chain[min(i, len(chain) - 1)]
 
 
 def ideal_index(n: Ideal) -> int:
     """Least k with N^k = N^(k+1); the chain is stationary from there on."""
-    prev = unit_ideal(n.ring)
-    cur = n
-    k = 0
-    while prev.members != cur.members:
-        k += 1
-        prev, cur = cur, ideal_product(cur, n)
-    return k
+    return len(power_chain(n)) - 1
 
 
 def nilradical(ring: FiniteRing) -> Ideal:
-    """All nilpotent elements, found per element by power iteration with
-    cycle detection."""
-    members = set()
-    for x in ring.elements:
-        seen = set()
-        y = x
-        while y not in seen:
-            seen.add(y)
-            y = ring.mul(y, x)
-        if ring.zero in seen:
-            members.add(x)
-    return _make_ideal(ring, frozenset(members))
+    """All nilpotent elements. A nilpotent x has x^m = 0 for some m <= order
+    (its nonzero powers are distinct), so x is nilpotent iff x^(2^k) = 0 for
+    2^k >= order: k squarings of the whole element array."""
+    powers = ring.element_array()
+    for _ in range((ring.order - 1).bit_length()):
+        powers = ring.vmul(powers, powers)
+    return _make_ideal(ring, _members(powers == ring.zero))
 
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, list[int]]:
@@ -170,40 +177,34 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, list[int]
     Coset representatives are the least member of each coset; coset indices
     follow representative order. The returned list maps every ring element
     index to its coset index.
+
+    The least member of x + I is found by a running minimum over translates:
+    for each additive generator g of I, 2^j doublings of the step g cover the
+    translates by every multiple of g, since the order of g is at most |I|.
     """
     if not ideal.is_proper:
         raise ValueError("cannot form a quotient by the unit ideal")
-    n = ring.order
-    rep_of = [-1] * n
-    reps: list[int] = []
-    for x in range(n):
-        if rep_of[x] < 0:
-            for m in ideal.members:
-                rep_of[ring.add(x, m)] = x
-            reps.append(x)
-    pos = {r: i for i, r in enumerate(reps)}
-    theta = [pos[rep_of[x]] for x in range(n)]
-
-    def add_fn(i, j):
-        return pos[rep_of[ring.add(reps[i], reps[j])]]
-
-    def mul_fn(i, j):
-        return pos[rep_of[ring.mul(reps[i], reps[j])]]
-
-    def neg_fn(i):
-        return pos[rep_of[ring.neg(reps[i])]]
+    everything = ring.element_array()
+    least = everything.copy()
+    for g in additive_span(ring, _array(ideal.members))[1]:
+        for _ in range((ideal.size - 1).bit_length()):
+            least = np.minimum(least, least[ring.vadd(everything, g)])
+            g = ring.add(g, g)
+    reps = np.flatnonzero(least == everything)
+    theta = np.searchsorted(reps, least)
 
     label = f"{ring.label}/{ideal.render()}"
-    quot = FiniteRing(len(reps), theta[ring.zero], theta[ring.one], label,
-                      add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn,
-                      names=lambda i: ring.name(reps[i]))
-    if n <= VALIDATION_CAP and ring._add_t is not None and quot._add_t is not None:
-        th = np.asarray(theta)
-        if not np.array_equal(th[ring._add_t], quot._add_t[th[:, None], th[None, :]]):
+    quot = FiniteRing(len(reps), int(theta[ring.zero]), int(theta[ring.one]), label,
+                      kernels=(lambda i, j: theta[ring.vadd(reps[i], reps[j])],
+                               lambda i, j: theta[ring.vmul(reps[i], reps[j])],
+                               lambda i: theta[ring.vneg(reps[i])]),
+                      names=lambda i: ring.name(int(reps[i])))
+    if ring.order <= VALIDATION_CAP and ring._add_t is not None and quot._add_t is not None:
+        if not np.array_equal(theta[ring._add_t], quot._add_t[theta[:, None], theta]):
             raise InternalConsistencyError("projection does not respect addition")
-        if not np.array_equal(th[ring._mul_t], quot._mul_t[th[:, None], th[None, :]]):
+        if not np.array_equal(theta[ring._mul_t], quot._mul_t[theta[:, None], theta]):
             raise InternalConsistencyError("projection does not respect multiplication")
-    return quot, theta
+    return quot, theta.tolist()
 
 
 def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -214,14 +215,14 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
     """
     nil = nilradical(ring)
     semi, theta = quotient_ring(ring, nil)
-    idem = sorted(idempotents(semi) - {semi.zero})
-    primitive = [e for e in idem
-                 if not any(f != e and semi.mul(f, e) == f for f in idem)]
+    theta = np.asarray(theta)
+    idem = np.array(sorted(idempotents(semi) - {semi.zero}), dtype=np.int64)
+    # below[f, e]: f != e and f·e = f, i.e. f lies strictly under e
+    below = (semi.vmul(idem[:, None], idem[None, :]) == idem[:, None]) & (idem[:, None] != idem)
     found = []
-    for e in primitive:
-        ann = {x for x in semi.elements if semi.mul(x, e) == semi.zero}
-        pulled = frozenset(i for i in ring.elements if theta[i] in ann)
-        m = _make_ideal(ring, pulled)
+    for e in idem[~below.any(axis=0)]:
+        ann = semi.vmul(semi.element_array(), e) == semi.zero
+        m = _make_ideal(ring, _members(ann[theta]))
         quot, _ = quotient_ring(ring, m)
         if not is_field(quot):
             raise InternalConsistencyError(
@@ -235,7 +236,7 @@ def crt_solve(ring: FiniteRing, constraints) -> int:
     """Least element congruent to a_i modulo Q_i for pairwise coprime ideals Q_i.
 
     constraints is a list of (Ideal, element) pairs. Solves by intersecting
-    the coset membership sets.
+    the coset membership masks.
     """
     constraints = list(constraints)
     if not constraints:
@@ -245,16 +246,15 @@ def crt_solve(ring: FiniteRing, constraints) -> int:
             raise ValueError("constraint ideal belongs to a different ring")
     for i in range(len(constraints)):
         for j in range(i + 1, len(constraints)):
-            if len(ideal_sum(constraints[i][0], constraints[j][0]).members) != ring.order:
+            if not _sum_mask(constraints[i][0], constraints[j][0]).all():
                 raise ValueError(
                     f"constraint ideals {i} and {j} are not coprime")
-    sols = None
+    sols = np.ones(ring.order, dtype=bool)
     for q, a in constraints:
-        coset = {ring.add(a, m) for m in q.members}
-        sols = coset if sols is None else (sols & coset)
-    if not sols:
+        sols &= _mask(ring, ring.vadd(a, _array(q.members)))
+    if not sols.any():
         raise InternalConsistencyError("coprime cosets failed to intersect")
-    return min(sols)
+    return int(np.argmax(sols))
 
 
 def is_valid_ideal(ideal: Ideal) -> bool:

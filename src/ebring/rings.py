@@ -2,14 +2,19 @@
 
 Every ring presents the same interface: elements are the indices
 ``0..order-1`` and the structure is given by total ``add``/``mul``/``neg``
-operations plus distinguished ``zero`` and ``one`` indices. Structured
-backends (modular integers, finite fields, polynomial quotients, products)
-materialize full numpy operation tables up to ``TABLE_CAP`` elements and
-fall back to on-demand evaluation above it. Rings of order up to
-``VALIDATION_CAP`` are exhaustively checked against the ring axioms at
-construction time; structured backends above the cap are trusted by
-construction, while raw table input above the cap is rejected because it
-carries no correctness guarantee.
+operations plus distinguished ``zero`` and ``one`` indices. The same
+operations come vectorized as ``vadd``/``vmul``/``vneg``, which take integer
+index arrays and broadcast like numpy ufuncs; the ideal layer is written
+against them.
+
+A constructor gives either operation tables or vectorized kernels (callables
+with the broadcasting behaviour of ``vadd``/``vmul``/``vneg``). Rings of up to
+``TABLE_CAP`` elements always hold full numpy tables, built from the kernels
+by array indexing, never by a per-element callback; above the cap the
+operations run on the kernels. Rings of order up to ``VALIDATION_CAP`` are
+checked against the ring axioms at construction time; structured backends
+above the cap are trusted by construction, while raw table input above the
+cap is rejected because it carries no correctness guarantee.
 """
 
 from __future__ import annotations
@@ -23,16 +28,24 @@ from .errors import AxiomViolation
 
 TABLE_CAP = 4096
 VALIDATION_CAP = 512
+# Queries over every element build index arrays of the ring's order; above
+# this order they are refused rather than allocating hundreds of MiB.
+ARRAY_CAP = 1 << 24
+# Most entries one kernel call computes while building a table or scanning
+# rows; bounds the temporaries of the digit kernels of polynomial quotients.
+BLOCK = 1 << 16
 
 
 class FiniteRing:
-    """A finite commutative unitary ring with elements indexed 0..order-1."""
+    """A finite commutative unitary ring with elements indexed 0..order-1.
+
+    Pass ``tables=(add, mul)`` (order-by-order index arrays) or
+    ``kernels=(add, mul, neg)`` (vectorized callables; ``neg`` may be None
+    when the order is within ``TABLE_CAP``, since tables are built then).
+    """
 
     def __init__(self, order: int, zero: int, one: int, label: str, *,
-                 add_table=None, mul_table=None,
-                 add_fn: Callable[[int, int], int] | None = None,
-                 mul_fn: Callable[[int, int], int] | None = None,
-                 neg_fn: Callable[[int], int] | None = None,
+                 tables=None, kernels: tuple[Callable, ...] | None = None,
                  names: Callable[[int], str] | Seq[str] | None = None,
                  validate: bool = True):
         if order < 2:
@@ -42,48 +55,58 @@ class FiniteRing:
         self.one = one
         self.label = label
         self._names = names
-        self._add_fn = add_fn
-        self._mul_fn = mul_fn
-        self._neg_fn = neg_fn
         self._units: frozenset[int] | None = None
         self._idempotents: frozenset[int] | None = None
         self._char: int | None = None
 
-        if add_table is not None:
-            self._add_t = np.asarray(add_table, dtype=np.int32).reshape(order, order)
-            self._mul_t = np.asarray(mul_table, dtype=np.int32).reshape(order, order)
-        elif order <= TABLE_CAP:
-            self._add_t = _table_from_fn(order, add_fn)
-            self._mul_t = _table_from_fn(order, mul_fn)
+        if tables is None and order <= TABLE_CAP:
+            tables = (_tabulate(order, kernels[0]), _tabulate(order, kernels[1]))
+        if tables is not None:
+            self._add_t, self._mul_t = (np.asarray(t, dtype=np.int32).reshape(order, order)
+                                        for t in tables)
         else:
-            self._add_t = self._mul_t = None
+            if kernels[2] is None:
+                raise ValueError("rings beyond the table cap need an explicit negation")
+            self._add_t = self._mul_t = self._neg_t = None
+            self._add_k, self._mul_k, self._neg_k = kernels
 
         if validate and order <= VALIDATION_CAP:
             validate_ring(self)
 
         if self._add_t is not None:
             self._neg_t = np.argmax(self._add_t == zero, axis=1).astype(np.int32)
-        else:
-            if neg_fn is None:
-                raise ValueError("rings beyond the table cap need an explicit negation")
-            self._neg_t = None
+
+    # vectorized operations ------------------------------------------------
+
+    def vadd(self, x, y):
+        """Elementwise sum of two broadcastable index arrays."""
+        return self._add_t[x, y] if self._add_t is not None else self._add_k(x, y)
+
+    def vmul(self, x, y):
+        """Elementwise product of two broadcastable index arrays."""
+        return self._mul_t[x, y] if self._mul_t is not None else self._mul_k(x, y)
+
+    def vneg(self, x):
+        """Elementwise additive inverse of an index array."""
+        return self._neg_t[x] if self._neg_t is not None else self._neg_k(x)
+
+    def element_array(self) -> np.ndarray:
+        """All element indices as an int64 array."""
+        if self.order > ARRAY_CAP:
+            raise ValueError(f"{self.label} has more than {ARRAY_CAP} elements; "
+                             "queries over every element are limited to that order")
+        return np.arange(self.order, dtype=np.int64)
 
     # element operations -------------------------------------------------
 
     def add(self, i: int, j: int) -> int:
-        if self._add_t is not None:
-            return int(self._add_t[i, j])
-        return self._add_fn(i, j)
+        return int(self.vadd(i, j))
 
     def mul(self, i: int, j: int) -> int:
-        if self._mul_t is not None:
-            return int(self._mul_t[i, j])
-        return self._mul_fn(i, j)
+        return int(self.vmul(i, j))
 
     def neg(self, i: int) -> int:
-        if self._neg_t is not None:
-            return int(self._neg_t[i])
-        return self._neg_fn(i)
+        return int(self.vneg(i))
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg(j))
@@ -123,23 +146,71 @@ class FiniteRing:
         return f"FiniteRing({self.label}, order={self.order})"
 
 
-def _table_from_fn(order, fn):
-    t = np.empty((order, order), dtype=np.int32)
-    for i in range(order):
-        t[i] = [fn(i, j) for j in range(order)]
-    return t
+def row_blocks(rows: int, width: int):
+    """Consecutive slices of ``range(rows)`` spanning at most ``BLOCK`` entries
+    of a table ``width`` wide (at least one row each)."""
+    step = max(1, BLOCK // width)
+    for lo in range(0, rows, step):
+        yield slice(lo, lo + step)
+
+
+def _tabulate(order, kernel):
+    idx = np.arange(order, dtype=np.int64)
+    table = np.empty((order, order), dtype=np.int32)
+    for rows in row_blocks(order, order):
+        table[rows] = kernel(idx[rows, None], idx[None, :])
+    return table
+
+
+def additive_span(ring: FiniteRing, seeds, within=None) -> tuple[np.ndarray, list[int]]:
+    """Additive closure of ``within`` (a boolean mask of an additive subgroup;
+    default the zero subgroup) and ``seeds``, as a boolean mask, plus the seeds
+    that enlarged it, in seed order.
+
+    A seed s outside the current subgroup H adds the cosets H + ks in doubling
+    steps: H + {0..2^j - 1}s grows by translation by 2^j s until a step adds
+    nothing. Every element it adds is a sum of a member and seeds, so on
+    tables not yet known to form a ring it still adds nothing else.
+    """
+    mask = np.zeros(ring.order, dtype=bool) if within is None else within.copy()
+    mask[ring.zero] = True
+    seeds = np.asarray(seeds, dtype=np.int64).ravel()
+    used = []
+    while True:
+        pending = seeds[~mask[seeds]]
+        if not pending.size:
+            return mask, used
+        step = int(pending[0])
+        used.append(step)
+        members = np.flatnonzero(mask)
+        while True:
+            mask[ring.vadd(members, step)] = True
+            grown = np.flatnonzero(mask)
+            if grown.size == members.size:
+                break
+            members, step = grown, ring.add(step, step)
 
 
 # axioms -------------------------------------------------------------------
 
 def validate_ring(ring: FiniteRing) -> None:
-    """Exhaustively check every ring axiom; raise AxiomViolation with a witness.
+    """Check every ring axiom on the tables; raise AxiomViolation with a witness.
+
+    Closure, commutativity, the identities and additive inverses are checked
+    on every pair. Associativity of + and ·, and distributivity, are checked
+    for every x, y and each g in G = {0} ∪ (an additive generating set),
+    found greedily by ``additive_span``: (x + g) + y = x + (g + y),
+    (x·g)·y = x·(g·y) and x·(g + y) = x·g + x·y. For each identity the g that
+    satisfy it for all x, y form a set closed under + (Light's associativity
+    test, Clifford–Preston I §1.2; for distributivity once + is associative,
+    for · once distributivity holds), so G certifies every triple. Cost
+    O(|G|·n²) instead of O(n³); |G| is at most 1 + log2(n) for a ring.
 
     Requires materialized tables, so it only applies up to the table cap.
     """
     a, m = ring._add_t, ring._mul_t
     if a is None or m is None:
-        raise ValueError("cannot exhaustively validate a ring without tables")
+        raise ValueError("cannot validate a ring without tables")
     n = ring.order
     rng = np.arange(n)
     for opname, t in (("addition", a), ("multiplication", m)):
@@ -160,23 +231,38 @@ def validate_ring(ring: FiniteRing) -> None:
     if not bool((a == ring.zero).any(axis=1).all()):
         i = int(np.argwhere(~(a == ring.zero).any(axis=1))[0][0])
         raise AxiomViolation("additive inverse", (i,))
-    for i in range(n):
-        left = a[a[i], :]
-        right = a[i, a]
-        if not np.array_equal(left, right):
-            j, k = np.argwhere(left != right)[0]
-            raise AxiomViolation("addition associativity", (i, int(j), int(k)))
-        left = m[m[i], :]
-        right = m[i, m]
-        if not np.array_equal(left, right):
-            j, k = np.argwhere(left != right)[0]
-            raise AxiomViolation("multiplication associativity", (i, int(j), int(k)))
-        row = m[i]
-        left = m[i, a]
-        right = a[row[:, None], row[None, :]]
-        if not np.array_equal(left, right):
-            j, k = np.argwhere(left != right)[0]
-            raise AxiomViolation("distributivity", (i, int(j), int(k)))
+    for g in [ring.zero] + additive_span(ring, rng)[1]:
+        for axiom, left, right in (
+                ("addition associativity", a[a[:, g]], a[:, a[g]]),
+                ("multiplication associativity", m[m[:, g]], m[:, m[g]]),
+                ("distributivity", m[:, a[g]], a[m[:, g, None], m])):
+            if not np.array_equal(left, right):
+                x, y = np.argwhere(left != right)[0]
+                raise AxiomViolation(axiom, (int(x), g, int(y)))
+
+
+# integers --------------------------------------------------------------------
+
+def prime_factors(n: int):
+    """Yield (p, k) for each prime p dividing n >= 1 with multiplicity k,
+    p ascending, by trial division. Lazy: stopping early stops the search."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            yield p, k
+        p += 1
+    if n > 1:
+        yield n, 1
+
+
+def _prime_power(q):
+    """(p, k) with q = p^k for a prime p, or None."""
+    p, k = next(prime_factors(q), (None, 0))
+    return (p, k) if p is not None and p ** k == q else None
 
 
 # constructors --------------------------------------------------------------
@@ -189,30 +275,9 @@ def make_zmod(n: int) -> FiniteRing:
 
 
 def _zmod(n, label):
-    if n <= TABLE_CAP:
-        i = np.arange(n, dtype=np.int64)
-        add = (i[:, None] + i[None, :]) % n
-        mul = (i[:, None] * i[None, :]) % n
-        return FiniteRing(n, 0, 1, label, add_table=add, mul_table=mul)
-    return FiniteRing(n, 0, 1, label,
-                      add_fn=lambda x, y: (x + y) % n,
-                      mul_fn=lambda x, y: (x * y) % n,
-                      neg_fn=lambda x: (-x) % n)
-
-
-def _prime_power(q):
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k, t = 0, q
-            while t % p == 0:
-                t //= p
-                k += 1
-            return (p, k) if t == 1 else None
-        p += 1
-    return (q, 1)
+    return FiniteRing(n, 0, 1, label, kernels=(lambda x, y: (x + y) % n,
+                                               lambda x, y: (x * y) % n,
+                                               lambda x: -x % n))
 
 
 def make_gf(q: int, cap: int = VALIDATION_CAP) -> FiniteRing:
@@ -236,6 +301,13 @@ def make_poly_quotient(base: FiniteRing, f, label: str | None = None) -> FiniteR
     f is given as base element indices in ascending degree order. Elements of
     the quotient are residue polynomials of degree < deg(f), packed into a
     single index whose base-q digits are the coefficient indices.
+
+    The kernels work on digit arrays through the base tables: a product is
+    the sum over s of a_s·(x^s·b), with x^s·b obtained by s shift-and-reduce
+    steps by f. Within ``TABLE_CAP`` the tables are filled a digit position at
+    a time: the rows of indices a = a' + c·q^s (a' < q^s) are the rows of a'
+    plus the rows of the monomial (c - c0)·x^s, c0 being the base element of
+    index 0, so the whole table costs O(order²) array work.
     """
     if not is_field(base):
         raise ValueError("polynomial quotients are only built over a field")
@@ -247,80 +319,77 @@ def make_poly_quotient(base: FiniteRing, f, label: str | None = None) -> FiniteR
         raise ValueError("modulus polynomial must have degree at least 1")
     q = base.order
     order = q ** d
+    if order > 1 << 62:
+        raise ValueError(f"quotient order {q}^{d} exceeds 2^62")
     if base._add_t is None:
         raise ValueError("base field is too large to serve as a coefficient field")
 
-    badd = base._add_t.tolist()
-    bmul = base._mul_t.tolist()
+    badd, bmul, bneg = base._add_t, base._mul_t, base._neg_t
     bzero, bone = base.zero, base.one
-    bneg = [base.neg(c) for c in range(q)]
+    weights = q ** np.arange(d, dtype=np.int64)
+    red = bneg[list(f[:d])]  # x^d mod f, as coefficient indices
 
-    # coefficient vectors of x^e mod f for e in [d, 2d-2]
-    red = []
-    if d >= 2:
-        cur = [bneg[c] for c in f[:d]]
-        red.append(cur)
-        for _ in range(d - 2):
-            top = cur[d - 1]
-            nxt = [bzero] + cur[:d - 1]
-            if top != bzero:
-                trow = bmul[top]
-                nxt = [badd[o][trow[r]] for o, r in zip(nxt, red[0])]
-            red.append(nxt)
-            cur = nxt
+    def digits(x):
+        return np.asarray(x)[..., None] // weights % q
 
-    def decode(idx):
-        digits = []
-        for _ in range(d):
-            digits.append(idx % q)
-            idx //= q
-        return digits
+    def encode(dig):
+        return dig @ weights
 
-    def encode(digits):
-        idx = 0
-        for e in range(d - 1, -1, -1):
-            idx = idx * q + digits[e]
-        return idx
+    def add_k(x, y):
+        return encode(badd[digits(x), digits(y)])
 
-    def add_fn(i, j):
-        return encode([badd[a][b] for a, b in zip(decode(i), decode(j))])
+    def neg_k(x):
+        return encode(bneg[digits(x)])
 
-    def mul_fn(i, j):
-        a_dig, b_dig = decode(i), decode(j)
-        conv = [bzero] * (2 * d - 1)
+    def scale(c, y):
+        """Coefficient c (a base index) times y."""
+        return encode(bmul[np.asarray(c)[..., None], digits(y)])
+
+    def times_x(y):
+        dig = digits(y)
+        low = np.concatenate([np.full(dig.shape[:-1] + (1,), bzero), dig[..., :-1]], axis=-1)
+        return encode(badd[low, bmul[dig[..., -1:], red]])
+
+    def mul_k(x, y):
+        coeffs, acc, power = digits(x), zero_idx, np.asarray(y)
         for s in range(d):
-            a = a_dig[s]
-            if a == bzero:
-                continue
-            arow = bmul[a]
-            for t in range(d):
-                b = b_dig[t]
-                if b != bzero:
-                    k = s + t
-                    conv[k] = badd[conv[k]][arow[b]]
-        out = conv[:d]
-        for e in range(d, 2 * d - 1):
-            c = conv[e]
-            if c != bzero:
-                crow = bmul[c]
-                out = [badd[o][crow[r]] for o, r in zip(out, red[e - d])]
-        return encode(out)
-
-    def neg_fn(i):
-        return encode([bneg[c] for c in decode(i)])
+            acc = add_k(acc, scale(coeffs[..., s], power))
+            power = times_x(power)
+        return acc
 
     def name_fn(i):
-        digits = decode(i)
-        while digits and digits[-1] == bzero:
-            digits.pop()
-        return gfpoly.render(base, tuple(digits))
+        coeffs = digits(i).tolist()
+        while coeffs and coeffs[-1] == bzero:
+            coeffs.pop()
+        return gfpoly.render(base, tuple(coeffs))
 
-    zero_idx = encode([bzero] * d)
-    one_idx = encode([bone] + [bzero] * (d - 1))
+    zero_idx = bzero * sum(q ** e for e in range(d))
+    one_idx = zero_idx - bzero + bone
     if label is None:
         label = f"{base.label}[x]/({gfpoly.render(base, f)})"
-    return FiniteRing(order, zero_idx, one_idx, label,
-                      add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn, names=name_fn)
+    if order > TABLE_CAP:
+        return FiniteRing(order, zero_idx, one_idx, label,
+                          kernels=(add_k, mul_k, neg_k), names=name_fn)
+
+    idx = np.arange(order, dtype=np.int64)
+    add = np.empty((order, order), dtype=np.int32)
+    mul = np.empty_like(add)
+    add[0], mul[0] = add_k(0, idx), mul_k(0, idx)
+    steps = badd[np.arange(1, q), bneg[0]]  # c - c0 for digits c = 1..q-1
+    for s in range(d):
+        lo = q ** s
+        digit = idx // lo % q
+        shifted = idx + (badd[steps[:, None], digit] - digit) * lo  # b + (c - c0)x^s
+        for k in range(q - 1):
+            add[(k + 1) * lo:(k + 2) * lo] = add[:lo][:, shifted[k]]
+    power = idx  # x^s·b for every b; the mul rows need the whole add table
+    for s in range(d):
+        lo = q ** s
+        mono = scale(steps[:, None], power)  # (c - c0)x^s·b
+        for k in range(q - 1):
+            mul[(k + 1) * lo:(k + 2) * lo] = add[mul[:lo], mono[k]]
+        power = times_x(power)
+    return FiniteRing(order, zero_idx, one_idx, label, tables=(add, mul), names=name_fn)
 
 
 def make_product(factors: Seq[FiniteRing], label: str | None = None) -> FiniteRing:
@@ -345,33 +414,18 @@ def make_product(factors: Seq[FiniteRing], label: str | None = None) -> FiniteRi
     def encode(digits):
         return sum(dk * weights[k] for k, dk in enumerate(digits))
 
+    def add_k(x, y):
+        return sum(f.vadd(x // w % f.order, y // w % f.order) * w
+                   for f, w in zip(factors, weights))
+
+    def mul_k(x, y):
+        return sum(f.vmul(x // w % f.order, y // w % f.order) * w
+                   for f, w in zip(factors, weights))
+
     zero = encode([f.zero for f in factors])
     one = encode([f.one for f in factors])
-
-    if all(f._add_t is not None for f in factors):
-        idx = np.arange(order, dtype=np.int64)
-        add = np.zeros((order, order), dtype=np.int64)
-        mul = np.zeros((order, order), dtype=np.int64)
-        for k, f in enumerate(factors):
-            dk = (idx // weights[k]) % sizes[k]
-            add += f._add_t[dk[:, None], dk[None, :]].astype(np.int64) * weights[k]
-            mul += f._mul_t[dk[:, None], dk[None, :]].astype(np.int64) * weights[k]
-        ring = FiniteRing(order, zero, one, label or " x ".join(f.label for f in factors),
-                          add_table=add, mul_table=mul,
-                          names=lambda i: _tuple_name(factors, decode(i)))
-        return ring
-
-    def add_fn(i, j):
-        return encode([f.add(a, b) for f, a, b in zip(factors, decode(i), decode(j))])
-
-    def mul_fn(i, j):
-        return encode([f.mul(a, b) for f, a, b in zip(factors, decode(i), decode(j))])
-
-    def neg_fn(i):
-        return encode([f.neg(a) for f, a in zip(factors, decode(i))])
-
     return FiniteRing(order, zero, one, label or " x ".join(f.label for f in factors),
-                      add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn,
+                      kernels=(add_k, mul_k, None),
                       names=lambda i: _tuple_name(factors, decode(i)))
 
 
@@ -409,8 +463,7 @@ def make_from_table(n: int, add_table, mul_table, names: Seq[str] | None = None,
         raise AxiomViolation("multiplicative identity", ())
     if names is not None and len(names) != n:
         raise ValueError("names must list one string per element")
-    return FiniteRing(n, zeros[0], ones[0], label,
-                      add_table=add, mul_table=mul,
+    return FiniteRing(n, zeros[0], ones[0], label, tables=(add, mul),
                       names=list(names) if names is not None else None)
 
 
@@ -419,26 +472,19 @@ def make_from_table(n: int, add_table, mul_table, names: Seq[str] | None = None,
 def units(ring: FiniteRing) -> frozenset[int]:
     """All elements with a multiplicative inverse."""
     if ring._units is None:
-        if ring._mul_t is not None:
-            hit = (ring._mul_t == ring.one).any(axis=1)
-            ring._units = frozenset(int(i) for i in np.where(hit)[0])
-        else:
-            ring._units = frozenset(
-                x for x in ring.elements
-                if any(ring.mul(x, y) == ring.one for y in ring.elements))
+        x = ring.element_array()
+        hit = np.zeros(ring.order, dtype=bool)
+        for rows in row_blocks(ring.order, ring.order):
+            hit[rows] = (ring.vmul(x[rows, None], x[None, :]) == ring.one).any(axis=1)
+        ring._units = frozenset(np.flatnonzero(hit).tolist())
     return ring._units
 
 
 def idempotents(ring: FiniteRing) -> frozenset[int]:
     """All elements equal to their own square; always contains 0 and 1."""
     if ring._idempotents is None:
-        if ring._mul_t is not None:
-            diag = ring._mul_t.diagonal()
-            ring._idempotents = frozenset(
-                int(i) for i in np.where(diag == np.arange(ring.order))[0])
-        else:
-            ring._idempotents = frozenset(
-                x for x in ring.elements if ring.mul(x, x) == x)
+        x = ring.element_array()
+        ring._idempotents = frozenset(np.flatnonzero(ring.vmul(x, x) == x).tolist())
     return ring._idempotents
 
 
@@ -463,10 +509,5 @@ def mul_power(ring: FiniteRing, x: int, k: int) -> int:
 
 def inverse(ring: FiniteRing, x: int) -> Optional[int]:
     """The multiplicative inverse of x, or None when x is not a unit."""
-    if ring._mul_t is not None:
-        hits = np.where(ring._mul_t[x] == ring.one)[0]
-        return int(hits[0]) if hits.size else None
-    for y in ring.elements:
-        if ring.mul(x, y) == ring.one:
-            return y
-    return None
+    hits = np.flatnonzero(ring.vmul(x, ring.element_array()) == ring.one)
+    return int(hits[0]) if hits.size else None

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
-from ebring import build_ring
+from ebring import AxiomViolation, build_ring
 
 
 def subset_products(mul, terms):
@@ -48,6 +49,44 @@ def naive_davenport(view, limit=10):
                    for combo in combinations_with_replacement(view.elements, ell)):
             return ell
     raise AssertionError(f"no bound found up to {limit}")
+
+
+def exhaustive_validate(ring):
+    """Every ring axiom on every pair and triple of the tables, O(n^3): the
+    reference for ``validate_ring``, which tests the triples of a generating
+    set only. Raises AxiomViolation with a witness."""
+    a, m = ring._add_t, ring._mul_t
+    n = ring.order
+    rng = np.arange(n)
+    for opname, t in (("addition", a), ("multiplication", m)):
+        if int(t.min()) < 0 or int(t.max()) >= n:
+            bad = np.argwhere((t < 0) | (t >= n))[0]
+            raise AxiomViolation(f"{opname} closure", (int(bad[0]), int(bad[1])))
+        if not np.array_equal(t, t.T):
+            bad = np.argwhere(t != t.T)[0]
+            raise AxiomViolation(f"{opname} commutativity", (int(bad[0]), int(bad[1])))
+    if ring.zero == ring.one:
+        raise AxiomViolation("distinct identities", (ring.zero,))
+    if not np.array_equal(a[ring.zero], rng):
+        raise AxiomViolation("additive identity", (ring.zero,))
+    if not np.array_equal(m[ring.one], rng):
+        raise AxiomViolation("multiplicative identity", (ring.one,))
+    if not bool((a == ring.zero).any(axis=1).all()):
+        raise AxiomViolation("additive inverse", ())
+    for i in range(n):
+        left, right = a[a[i], :], a[i, a]
+        if not np.array_equal(left, right):
+            j, k = np.argwhere(left != right)[0]
+            raise AxiomViolation("addition associativity", (i, int(j), int(k)))
+        left, right = m[m[i], :], m[i, m]
+        if not np.array_equal(left, right):
+            j, k = np.argwhere(left != right)[0]
+            raise AxiomViolation("multiplication associativity", (i, int(j), int(k)))
+        row = m[i]
+        left, right = m[i, a], a[row[:, None], row[None, :]]
+        if not np.array_equal(left, right):
+            j, k = np.argwhere(left != right)[0]
+            raise AxiomViolation("distributivity", (i, int(j), int(k)))
 
 
 FAMILY_SPECS = (

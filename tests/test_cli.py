@@ -189,3 +189,47 @@ def test_ring_spec_dataclass_render():
     spec = parse_ring_spec("Z/6 x GF(4)")
     assert isinstance(spec, RingSpec)
     assert spec.render() == "Z/6 x GF(4)"
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    """`python -m ebring.cli` runs the CLI once, as __main__, in a fresh
+    interpreter that imports the ebring under test (as in criterion 10)."""
+    import os
+    import subprocess
+    import sys
+
+    import ebring
+    import_dir = os.path.dirname(os.path.dirname(os.path.abspath(ebring.__file__)))
+    pythonpath = os.pathsep.join(p for p in (import_dir, os.environ.get("PYTHONPATH")) if p)
+    argv = ["davenport", "Z2xZ4", "--json"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    proc = subprocess.run([sys.executable, "-m", "ebring.cli", *argv], capture_output=True,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.encode()
+    assert proc.stderr == b""  # no runpy warning about a second copy of the module
+
+
+def test_verify_builds_the_construction_once(capsys, monkeypatch):
+    from ebring import cli, erdos_burgess
+    calls = []
+    original = erdos_burgess.construct_extremal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "construct_extremal", counted)
+    monkeypatch.setattr(erdos_burgess, "construct_extremal", counted)
+    assert run(["verify", "Z/12"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "Z/12: exact 4, lower 4, upper 9, case unknown")
+
+
+def test_huge_rings_are_refused_not_enumerated(capsys):
+    assert run(["inspect", "Z/33554432", "idempotents"]) == 2
+    assert "queries over every element are limited" in capsys.readouterr().err
+    assert run(["inspect", "GF(2)[x]/(x^70)", "units"]) == 2
+    assert "exceeds 2^62" in capsys.readouterr().err

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from ebring import (crt_solve, ideal_generated_by,
+from ebring import (build_ring, crt_solve, ideal_generated_by,
                     ideal_index, ideal_power, ideal_product, ideal_sum,
                     is_field, is_valid_ideal, make_gf, make_poly_quotient,
-                    make_zmod, maximal_ideals, nilradical, quotient_ring,
-                    unit_ideal, zero_ideal)
+                    make_zmod, maximal_ideals, nilradical, power_chain,
+                    quotient_ring, unit_ideal, zero_ideal)
 
 from conftest import family_ring, FAMILY_SPECS
 
@@ -67,6 +67,8 @@ def test_power_chain_in_truncated_polynomials():
     assert sorted(ideal_power(m, 2).members) == [0, 4]
     assert ideal_power(m, 3).is_zero
     assert ideal_index(m) == 3
+    chain = power_chain(m)
+    assert [sorted(p.members) for p in chain] == [list(range(8)), [0, 2, 4, 6], [0, 4], [0]]
 
 
 def test_index_of_unit_ideal_is_zero():
@@ -257,9 +259,40 @@ def test_maximal_ideals_match_subset_enumeration():
 
 
 def test_nilradical_matches_power_oracle():
-    for spec in ("Z/12", "Z/16", "GF(3)[x]/(x^2)", "GF(2)[x]/(x^3+x^2)"):
-        r = family_ring(spec)
+    for spec in FAMILY_SPECS + ["Z/72", "GF(2)[x]/(x^4+x^2)", "GF(3)[x]/(x^3+x^2)"]:
+        r = build_ring(spec)
         from ebring import mul_power
         expected = {x for x in r.elements
                     if any(mul_power(r, x, k) == r.zero for k in range(1, r.order + 1))}
         assert nilradical(r).members == frozenset(expected)
+
+
+def _naive_quotient(ring, ideal):
+    """Cosets by scanning elements in order, tables by one scalar op per entry."""
+    rep_of = [-1] * ring.order
+    reps = []
+    for x in ring.elements:
+        if rep_of[x] < 0:
+            for m in ideal.members:
+                rep_of[ring.add(x, m)] = x
+            reps.append(x)
+    pos = {r: i for i, r in enumerate(reps)}
+    theta = [pos[rep_of[x]] for x in ring.elements]
+    add = [[theta[ring.add(a, b)] for b in reps] for a in reps]
+    mul = [[theta[ring.mul(a, b)] for b in reps] for a in reps]
+    return theta, add, mul, [ring.name(r) for r in reps]
+
+
+def test_quotient_ring_matches_naive_coset_build():
+    for spec in ("Z/12", "Z/16", "Z/36", "GF(2)[x]/(x^3+x^2)", "GF(2)[x]/(x^4)",
+                 "GF(3)[x]/(x^3+x^2)", "Z/4 x GF(3)", "GF(4) x Z/4"):
+        r = build_ring(spec)
+        ideals = [zero_ideal(r), nilradical(r)]
+        for m in maximal_ideals(r):
+            ideals += power_chain(m)[1:]
+        for ideal in ideals:
+            quot, theta = quotient_ring(r, ideal)
+            naive = _naive_quotient(r, ideal)
+            got = (theta, quot._add_t.tolist(), quot._mul_t.tolist(),
+                   [quot.name(i) for i in quot.elements])
+            assert got == naive, (spec, ideal)

@@ -1,10 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 
-from ebring import (AxiomViolation, idempotents, inverse, is_field,
-                    make_from_table, make_gf, make_poly_quotient, make_product,
-                    make_zmod, mul_power, units, validate_ring)
-from ebring.rings import _prime_power
+from ebring import (AxiomViolation, FiniteRing, gfpoly, ideal_index, idempotents,
+                    inverse, is_field, make_from_table, make_gf, make_poly_quotient,
+                    make_product, make_zmod, maximal_ideals, mul_power, nilradical,
+                    units, validate_ring)
+from ebring import rings
+from ebring.rings import _prime_power, prime_factors
+
+from conftest import FAMILY_SPECS, exhaustive_validate, family_ring
 
 
 def test_zmod_smallest_field():
@@ -53,6 +59,9 @@ def test_prime_power_detection():
     assert _prime_power(13) == (13, 1)
     assert _prime_power(12) is None
     assert _prime_power(1) is None
+    assert list(prime_factors(360)) == [(2, 3), (3, 2), (5, 1)]
+    assert list(prime_factors(97)) == [(97, 1)]
+    assert list(prime_factors(1)) == []
 
 
 def test_quotient_x_squared_unit_square():
@@ -229,3 +238,115 @@ def test_large_rings_fall_back_to_on_demand_ops():
     big = make_poly_quotient(make_gf(2), (1,) + (0,) * 12 + (1,))
     assert big.order == 8192
     assert big.mul(2, 2) == 4  # x * x = x^2
+
+
+def _verdict(validator, ring):
+    try:
+        validator(ring)
+    except AxiomViolation as exc:
+        return exc.axiom
+    return None
+
+
+def _symmetric_corruptions(ring):
+    n = ring.order
+    return [(t, i, j, v) for t, table in enumerate((ring._add_t, ring._mul_t))
+            for i in range(n) for j in range(i, n) for v in range(n) if v != table[i, j]]
+
+
+def test_validator_agrees_with_exhaustive_oracle_on_corruptions():
+    """Every symmetric single-entry corruption of add or mul on rings of at most
+    five elements, a fixed-seed sample of them above, plus fixed-seed double
+    corruptions: the generator-based validator accepts exactly when the
+    O(n^3) oracle does."""
+    rng = random.Random(4)
+    specs = FAMILY_SPECS + ["Z/2 x Z/2", "Z/2 x GF(4)", "Z/3 x Z/3", "Z/2 x Z/2 x Z/2",
+                            "Z/2 x Z/4"]
+    rejected_by = set()
+    cases = 0
+    for spec in specs:
+        ring = family_ring(spec)
+        singles = _symmetric_corruptions(ring)
+        picks = [[c] for c in (singles if ring.order <= 5 else rng.sample(singles, 120))]
+        picks += [rng.sample(singles, 2) for _ in range(30)]
+        for pick in picks:
+            tables = [ring._add_t.copy(), ring._mul_t.copy()]
+            for t, i, j, v in pick:
+                tables[t][i, j] = tables[t][j, i] = v
+            bad = FiniteRing(ring.order, ring.zero, ring.one, "corrupted", tables=tables,
+                             validate=False)
+            new, old = _verdict(validate_ring, bad), _verdict(exhaustive_validate, bad)
+            assert (new is None) == (old is None), (spec, pick, new, old)
+            rejected_by.add(new)
+            cases += 1
+    assert cases > 4000
+    assert {"addition associativity", "multiplication associativity",
+            "distributivity"} <= rejected_by
+
+
+def _relabeled_gf3():
+    perm = [2, 0, 1]  # element i of GF(3) becomes index perm[i]; zero is index 2
+    add = [[0] * 3 for _ in range(3)]
+    mul = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            add[perm[i]][perm[j]] = perm[(i + j) % 3]
+            mul[perm[i]][perm[j]] = perm[i * j % 3]
+    return make_from_table(3, add, mul, label="GF(3) relabeled")
+
+
+def test_poly_quotient_tables_match_gfpoly():
+    odd = _relabeled_gf3()
+    cases = [(make_gf(2), (1, 1, 0, 0, 0, 0, 1)), (make_gf(2), (0, 0, 0, 1, 1)),
+             (make_gf(3), (0, 0, 1, 1)), (make_gf(4), (0, 1, 1)), (make_gf(4), (0, 0, 0, 1)),
+             (make_gf(5), (2, 0, 1)), (odd, (2, 2, 0, 0))]
+    for base, f in cases:
+        ring = make_poly_quotient(base, f)
+        q, d = base.order, len(f) - 1
+
+        def poly(idx):
+            return gfpoly.trim(base, [idx // q ** t % q for t in range(d)])
+
+        def index(p):
+            p = list(p) + [base.zero] * (d - len(p))
+            return sum(c * q ** t for t, c in enumerate(p))
+
+        polys = [poly(i) for i in ring.elements]
+        add = [[index(gfpoly.add(base, a, b)) for b in polys] for a in polys]
+        mul = [[index(gfpoly.mod(base, gfpoly.mul(base, a, b), f)) for b in polys] for a in polys]
+        assert ring._add_t.tolist() == add, ring.label
+        assert ring._mul_t.tolist() == mul, ring.label
+        assert (ring.zero, ring.one) == (index(()), index((base.one,)))
+
+
+UNTABLED_CASES = [12, 16, 30, 49, (2, (0, 0, 1, 1)), (3, (0, 0, 1)), (4, (0, 1, 1)),
+                  (2, (0, 0, 0, 0, 1)), (5, (1, 0, 1)), (3, (0, 1, 0, 1))]
+
+
+def test_untabled_kernels_match_tables(monkeypatch):
+    """Rings built above a lowered TABLE_CAP run on the constructors' kernels;
+    their operations, nilradical and maximal ideals match the tabled twins."""
+    bases = {q: make_gf(q) for q in (2, 3, 4, 5)}
+
+    def build(case):
+        return make_zmod(case) if isinstance(case, int) else make_poly_quotient(bases[case[0]], case[1])
+
+    tabled = [build(case) for case in UNTABLED_CASES]
+    monkeypatch.setattr(rings, "TABLE_CAP", 1)
+    monkeypatch.setattr(rings, "VALIDATION_CAP", 0)
+    for case, t in zip(UNTABLED_CASES, tabled):
+        u = build(case)
+        assert u._mul_t is None and u.label == t.label
+        x = np.arange(u.order)
+        assert np.array_equal(u.vadd(x[:, None], x[None, :]), t._add_t)
+        assert np.array_equal(u.vmul(x[:, None], x[None, :]), t._mul_t)
+        assert np.array_equal(u.vneg(x), t._neg_t)
+        assert [[u.mul(i, j) for j in x[:7]] for i in x] == t._mul_t[:, :7].tolist()
+        assert (u.zero, u.one, u.char) == (t.zero, t.one, t.char)
+        assert units(u) == units(t) and idempotents(u) == idempotents(t)
+        assert [u.name(i) for i in x] == [t.name(i) for i in x]
+        nu, nt = nilradical(u), nilradical(t)
+        assert (nu.members, nu.generators) == (nt.members, nt.generators)
+        mu, mt = maximal_ideals(u), maximal_ideals(t)
+        assert [(m.members, m.generators) for m in mu] == [(m.members, m.generators) for m in mt]
+        assert [ideal_index(m) for m in mu] == [ideal_index(m) for m in mt]
