@@ -7,7 +7,7 @@ from .errors import (AxiomViolation, BudgetExceeded, InternalConsistencyError,
                      SpecParseError)
 from .rings import (FiniteRing, TABLE_CAP, VALIDATION_CAP, idempotents,
                     inverse, is_field, make_from_table, make_gf,
-                    make_poly_quotient, make_product, make_zmod, mul_power,
+                    make_poly_quotient, make_product, make_zmod,
                     units, validate_ring)
 from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
                      ideal_power, ideal_product, ideal_sum, is_valid_ideal,
@@ -15,7 +15,7 @@ from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
                      unit_ideal, zero_ideal)
 from .sequences import (Sequence, concat, empty_sequence,
                         is_idempotent_product_free, product_set,
-                        sequence_product, subsequences_iter)
+                        sequence_product)
 from .search import SearchBudget, max_free_sequence
 from .groups import (AbelianGroupView, DavenportResult, davenport,
                      invariant_factors, is_zero_sum_free, synthetic_group,

@@ -206,14 +206,14 @@ def parse_ring_spec(text: str) -> RingSpec:
 
 
 def parse_group_spec(text: str) -> list[int]:
+    """Cyclic orders of a group spec; Z1 is the trivial group, Z0 is refused."""
     sc = _Scanner(text)
     factors = []
-    sc.expect_lit("Z", "'Z'")
-    d, _ = sc.nat("a cyclic order")
-    factors.append(d)
-    while sc.try_lit("x"):
+    while not factors or sc.try_lit("x"):
         sc.expect_lit("Z", "'Z'")
-        d, _ = sc.nat("a cyclic order")
+        d, pos = sc.nat("a cyclic order")
+        if d == 0:
+            raise SpecParseError("a cyclic order must be at least 1", text, pos)
         factors.append(d)
     if not sc.at_end():
         raise SpecParseError("unexpected trailing input", text, sc.pos)
@@ -408,6 +408,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     if args.kind == "int":
+        if len(args.values) != 1:
+            raise SpecParseError("crosscheck int needs N", " ".join(args.values), 0)
         record = dedekind_crosscheck_int(int(args.values[0]))
     else:
         if len(args.values) != 2:

@@ -12,8 +12,8 @@ from . import gfpoly
 from .errors import BudgetExceeded, InternalConsistencyError
 from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
                      maximal_ideals, power_chain)
-from .rings import (FiniteRing, idempotents, make_gf, make_poly_quotient, make_zmod,
-                    prime_factors, units)
+from .rings import (FiniteRing, MixedRadix, idempotents, make_gf, make_poly_quotient,
+                    make_zmod, prime_factors, units)
 from .search import SearchBudget, max_free_sequence
 from .sequences import Sequence, is_idempotent_product_free
 from .groups import davenport, invariant_factors, unit_group_view
@@ -396,39 +396,44 @@ class CoincidenceRecord:
     index_sum: int
 
 
+def _factor_coincidence(ring, modulus, factors, residue, render) -> CoincidenceRecord:
+    """Match each factor g of multiplicity k to the maximal ideal (g) of the
+    ring, check Ind((g)) = k, that every maximal ideal is matched, and that
+    the index sum equals the multiplicity excess; then build the record.
+    ``residue(g)`` is g as a ring element, ``render(g)`` its name."""
+    maxi = maximal_ideals(ring)
+    indices = [ideal_index(m) for m in maxi]
+    per_prime = []
+    seen = set()
+    for g, k in factors:
+        gen = ideal_generated_by(ring, [residue(g)])
+        pos = next((i for i, m in enumerate(maxi) if m == gen), None)
+        if pos is None:
+            raise InternalConsistencyError(f"({render(g)}) is not a maximal ideal of {ring.label}")
+        if indices[pos] != k:
+            raise InternalConsistencyError(
+                f"Ind(({render(g)})) = {indices[pos]} but the factorization multiplicity is {k}")
+        seen.add(pos)
+        per_prime.append((render(g), indices[pos]))
+    if len(seen) != len(maxi):
+        raise InternalConsistencyError("maximal ideal count disagrees with the factorization")
+    big, small = sum(k for _, k in factors), len(factors)
+    index_sum = sum(k - 1 for k in indices)
+    if index_sum != big - small:
+        raise InternalConsistencyError(
+            f"index sum {index_sum} disagrees with multiplicity excess {big - small}")
+    return CoincidenceRecord(ring.label, modulus, tuple((render(g), k) for g, k in factors),
+                             tuple(per_prime), big, small, index_sum)
+
+
 def dedekind_crosscheck_int(n: int) -> CoincidenceRecord:
     """Check that the per-prime ideal indices of Z/n reproduce the prime
     factorization: Ind((p)) equals the multiplicity of p, and the index sum
     equals the multiplicity excess of n."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    factors = list(prime_factors(n))
-    big = sum(k for _, k in factors)
-    small = len(factors)
-    ring = make_zmod(n)
-    maxi = maximal_ideals(ring)
-    indices = [ideal_index(m) for m in maxi]
-    per_prime = []
-    seen = set()
-    for p, k in factors:
-        gen = ideal_generated_by(ring, [p % n])
-        pos = next((i for i, m in enumerate(maxi) if m == gen), None)
-        if pos is None:
-            raise InternalConsistencyError(f"({p}) is not a maximal ideal of Z/{n}")
-        match, idx = maxi[pos], indices[pos]
-        if idx != k:
-            raise InternalConsistencyError(
-                f"Ind(({p})) = {idx} but the factorization multiplicity is {k}")
-        seen.add(frozenset(match.members))
-        per_prime.append((str(p), idx))
-    if len(seen) != len(maxi):
-        raise InternalConsistencyError("maximal ideal count disagrees with the factorization")
-    index_sum = sum(k - 1 for k in indices)
-    if index_sum != big - small:
-        raise InternalConsistencyError(
-            f"index sum {index_sum} disagrees with multiplicity excess {big - small}")
-    return CoincidenceRecord(ring.label, str(n), tuple((str(p), k) for p, k in factors),
-                             tuple(per_prime), big, small, index_sum)
+    return _factor_coincidence(make_zmod(n), str(n), list(prime_factors(n)),
+                               lambda p: p % n, str)
 
 
 def dedekind_crosscheck_poly(q: int, f, cap: int = 4096) -> CoincidenceRecord:
@@ -441,36 +446,13 @@ def dedekind_crosscheck_poly(q: int, f, cap: int = 4096) -> CoincidenceRecord:
         raise ValueError("modulus polynomial must be monic")
     if base.order ** gfpoly.degree(f) > cap:
         raise ValueError("quotient order exceeds the cap")
-    factors = gfpoly.factor_monic(base, f)
-    big = sum(k for _, k in factors)
-    small = len(factors)
-    ring = make_poly_quotient(base, f)
-    maxi = maximal_ideals(ring)
-    indices = [ideal_index(m) for m in maxi]
-    per_prime = []
-    seen = set()
-    for g, k in factors:
-        residue = gfpoly.mod(base, g, f)
-        enc = 0
-        for e in range(len(residue) - 1, -1, -1):
-            enc = enc * base.order + residue[e]
-        gen = ideal_generated_by(ring, [enc])
-        pos = next((i for i, m in enumerate(maxi) if m == gen), None)
-        if pos is None:
-            raise InternalConsistencyError(
-                f"({gfpoly.render(base, g)}) is not maximal in {ring.label}")
-        match, idx = maxi[pos], indices[pos]
-        if idx != k:
-            raise InternalConsistencyError(
-                f"Ind(({gfpoly.render(base, g)})) = {idx} but multiplicity is {k}")
-        seen.add(frozenset(match.members))
-        per_prime.append((gfpoly.render(base, g), idx))
-    if len(seen) != len(maxi):
-        raise InternalConsistencyError("maximal ideal count disagrees with the factorization")
-    index_sum = sum(k - 1 for k in indices)
-    if index_sum != big - small:
-        raise InternalConsistencyError(
-            f"index sum {index_sum} disagrees with multiplicity excess {big - small}")
-    return CoincidenceRecord(ring.label, f"{gfpoly.render(base, f)} over {base.label}",
-                             tuple((gfpoly.render(base, g), k) for g, k in factors),
-                             tuple(per_prime), big, small, index_sum)
+
+    def residue(g):
+        r = gfpoly.mod(base, g, f)
+        return int(MixedRadix([base.order] * len(r)).encode(r))
+
+    def render(g):
+        return gfpoly.render(base, g)
+
+    return _factor_coincidence(make_poly_quotient(base, f), f"{render(f)} over {base.label}",
+                               gfpoly.factor_monic(base, f), residue, render)

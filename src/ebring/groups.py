@@ -1,13 +1,22 @@
 """The unit group as a concrete abelian group: invariant factors, the exact
 Davenport constant with a maximal zero-sum-free witness, and synthetic
-products of cyclic groups."""
+products of cyclic groups.
+
+A group is a sorted tuple of element indices with a vectorized operation
+``vop`` that broadcasts over index arrays like ``FiniteRing.vmul``. Group
+work runs on arrays: the position table is one ``vop`` over the element
+array, and invariant factors need only elementwise powers.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetExceeded
-from .rings import FiniteRing, units
+from .rings import FiniteRing, MixedRadix, prime_factors, row_blocks, units
 from .search import SearchBudget, max_free_sequence
 from .sequences import Sequence, product_set
 
@@ -16,22 +25,23 @@ DAVENPORT_CAP = 64
 
 
 class AbelianGroupView:
-    """A finite abelian group on element indices with a total operation.
+    """A finite abelian group on element indices with a vectorized operation.
 
     For unit groups the indices are ring element indices; synthetic groups
     use 0..order-1. Exposes ``mul``/``one`` so sequences work over it.
     """
 
-    def __init__(self, elements, op, identity, label, names=None, validate=True):
+    def __init__(self, elements, vop, identity, label, names=None):
         self.elements = tuple(sorted(elements))
-        self.op = op
+        self.vop = vop
         self.identity = identity
         self.label = label
         self._names = names
+        self._table: np.ndarray | None = None
         self._invariant_factors: list[int] | None = None
         if identity not in set(self.elements):
             raise ValueError("identity must be one of the group elements")
-        if validate and len(self.elements) <= GROUP_VALIDATION_CAP:
+        if len(self.elements) <= GROUP_VALIDATION_CAP:
             validate_group(self)
 
     @property
@@ -43,7 +53,7 @@ class AbelianGroupView:
         return self.identity
 
     def mul(self, a: int, b: int) -> int:
-        return self.op(a, b)
+        return int(self.vop(a, b))
 
     def name(self, i: int) -> str:
         if self._names is None:
@@ -52,15 +62,19 @@ class AbelianGroupView:
             return self._names(i)
         return self._names[i]
 
-    def element_order(self, a: int) -> int:
-        k, acc = 1, a
-        while acc != self.identity:
-            acc = self.op(acc, a)
-            k += 1
-        return k
+    def element_array(self) -> np.ndarray:
+        return np.asarray(self.elements, dtype=np.int64)
 
-    def exponent(self) -> int:
-        return max(self.element_order(a) for a in self.elements)
+    def table(self) -> np.ndarray:
+        """Position table: entry [i, j] is the position in ``elements`` of the
+        product of the elements at positions i and j. A product outside the
+        carrier gets the position where it would be inserted."""
+        if self._table is None:
+            e = self.element_array()
+            self._table = np.empty((len(e), len(e)), dtype=np.int64)
+            for rows in row_blocks(len(e), len(e)):
+                self._table[rows] = np.searchsorted(e, self.vop(e[rows, None], e[None, :]))
+        return self._table
 
     def __repr__(self):
         return f"AbelianGroupView({self.label}, order={self.order})"
@@ -69,53 +83,49 @@ class AbelianGroupView:
 def validate_group(view: AbelianGroupView) -> None:
     """Closure, commutativity, identity, inverses, and associativity.
 
-    Associativity is checked through a greedy generating set: it is enough
-    to test a*(g*b) = (a*g)*b for every generator g.
+    Associativity is Light's test, as in ``validate_ring``: the g with
+    a*(g*b) = (a*g)*b for all a, b are closed under *, so it is enough to
+    test the elements of a generating set, grown greedily on the table.
     """
-    els = view.elements
-    elset = set(els)
-    op = view.op
-    e = view.identity
-    for a in els:
-        if op(e, a) != a:
-            raise ValueError(f"identity fails at element {a}")
-    for a in els:
-        for b in els:
-            c = op(a, b)
-            if c not in elset:
-                raise ValueError(f"operation escapes the carrier at ({a}, {b})")
-            if op(b, a) != c:
-                raise ValueError(f"commutativity fails at ({a}, {b})")
-    for a in els:
-        if not any(op(a, b) == e for b in els):
-            raise ValueError(f"element {a} has no inverse")
-    for g in _greedy_generators(view):
-        for a in els:
-            for b in els:
-                if op(a, op(g, b)) != op(op(a, g), b):
-                    raise ValueError(f"associativity fails at ({a}, {g}, {b})")
-
-
-def _greedy_generators(view) -> list[int]:
-    known = {view.identity}
-    gens = []
-    for x in view.elements:
-        if x not in known:
-            gens.append(x)
-            powers = [view.identity]
-            acc = x
-            while acc not in known and acc != view.identity:
-                powers.append(acc)
-                acc = view.op(acc, x)
-            known = {view.op(k, p) for k in known for p in powers}
-    return gens
+    els = view.element_array()
+    n = len(els)
+    e = view.elements.index(view.identity)
+    prod = np.asarray(view.vop(els[:, None], els[None, :]))
+    bad = np.flatnonzero(prod[e] != els)
+    if bad.size:
+        raise ValueError(f"identity fails at element {els[bad[0]]}")
+    t = np.minimum(view.table(), n - 1)
+    escapes = els[t] != prod
+    bad = np.argwhere(escapes | (prod != prod.T))
+    if bad.size:
+        i, j = bad[0]
+        if escapes[i, j]:
+            raise ValueError(f"operation escapes the carrier at ({els[i]}, {els[j]})")
+        raise ValueError(f"commutativity fails at ({els[i]}, {els[j]})")
+    bad = np.flatnonzero(~(t == e).any(axis=1))
+    if bad.size:
+        raise ValueError(f"element {els[bad[0]]} has no inverse")
+    known = np.zeros(n, dtype=bool)
+    known[e] = True
+    for g in range(n):
+        if known[g]:
+            continue
+        bad = np.argwhere(t[:, t[g]] != t[t[:, g]])
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"associativity fails at ({els[i]}, {els[g]}, {els[j]})")
+        while True:  # known grows to the closure of known ∪ {g} under * by g
+            members = np.flatnonzero(known)
+            known[t[members, g]] = True
+            if np.count_nonzero(known) == members.size:
+                break
 
 
 def unit_group_view(ring: FiniteRing) -> AbelianGroupView:
     """The group of units under ring multiplication. Cached per ring."""
     view = getattr(ring, "_unit_group_view", None)
     if view is None:
-        view = AbelianGroupView(sorted(units(ring)), ring.mul, ring.one,
+        view = AbelianGroupView(sorted(units(ring)), ring.vmul, ring.one,
                                 f"U({ring.label})", names=ring.name)
         ring._unit_group_view = view
     return view
@@ -128,66 +138,51 @@ def synthetic_group(spec) -> AbelianGroupView:
     for d in sizes:
         if d < 2:
             raise ValueError("cyclic factors must have order at least 2")
-    order = 1
-    for d in sizes:
-        order *= d
-        if order > 4096:
-            raise ValueError("synthetic group order exceeds the cap 4096")
-    weights = []
-    w = 1
-    for d in sizes:
-        weights.append(w)
-        w *= d
+    codec = MixedRadix(sizes)
+    if codec.order > 4096:
+        raise ValueError("synthetic group order exceeds the cap 4096")
 
-    def decode(idx):
-        return tuple((idx // weights[k]) % sizes[k] for k in range(len(sizes)))
-
-    def op(a, b):
-        da, db = decode(a), decode(b)
-        return sum(((da[k] + db[k]) % sizes[k]) * weights[k] for k in range(len(sizes)))
+    def vop(a, b):
+        return codec.encode((codec.digits(a) + codec.digits(b)) % codec.sizes)
 
     label = " x ".join(f"Z{d}" for d in sizes) if sizes else "Z1"
-    names = (lambda i: "(" + ",".join(str(t) for t in decode(i)) + ")") if len(sizes) > 1 else str
-    return AbelianGroupView(range(order), op, 0, label, names=names)
+    names = ((lambda i: "(" + ",".join(map(str, codec.digits(i).tolist())) + ")")
+             if len(sizes) > 1 else str)
+    return AbelianGroupView(range(codec.order), vop, 0, label, names=names)
 
 
-def _quotient_by_cyclic(view: AbelianGroupView, g: int) -> AbelianGroupView:
-    powers = [view.identity]
-    acc = g
-    while acc != view.identity:
-        powers.append(acc)
-        acc = view.op(acc, g)
-    rep_of = {}
-    reps = []
-    for x in view.elements:
-        if x not in rep_of:
-            for h in powers:
-                rep_of[view.op(x, h)] = x
-            reps.append(x)
-    return AbelianGroupView(reps, lambda a, b: rep_of[view.op(a, b)],
-                            rep_of[view.identity], f"{view.label} quotient",
-                            names=view._names, validate=False)
+def _power(view: AbelianGroupView, x: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise x^k for k >= 1, by repeated squaring."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = x if acc is None else view.vop(acc, x)
+        k >>= 1
+        if k:
+            x = view.vop(x, x)
+    return acc
 
 
 def invariant_factors(view: AbelianGroupView) -> list[int]:
     """Invariant factor decomposition d_1 | d_2 | ... | d_r.
 
-    A maximal-order element generates a direct summand of a finite abelian
-    group; extract it (ties broken by least index), quotient, recurse.
+    For each prime p of |G| with p-part Z_{p^e_1} x ... x Z_{p^e_s}, the
+    elements with x^(p^k) = 1 number p^(r_1 + ... + r_k), where r_j counts
+    the e_i >= j; so the counts give the exponents e_i. The largest invariant
+    factor takes the largest exponent of every prime, the next the next.
     """
     if view._invariant_factors is not None:
         return list(view._invariant_factors)
-    factors_desc = []
-    cur = view
-    while cur.order > 1:
-        best, best_ord = None, 0
-        for a in cur.elements:
-            k = cur.element_order(a)
-            if k > best_ord:
-                best, best_ord = a, k
-        factors_desc.append(best_ord)
-        cur = _quotient_by_cyclic(cur, best)
-    out = list(reversed(factors_desc))
+    exps = []  # per prime p: the exponents e_i, descending
+    for p, v in prime_factors(view.order):
+        x, logs = view.element_array(), [0]  # logs[k] = log_p #{x : x^(p^k) = 1}
+        while logs[-1] < v:
+            x = _power(view, x, p)
+            logs.append(round(math.log(np.count_nonzero(x == view.identity), p)))
+        ranks = np.diff(logs)  # ranks[k - 1] = r_k
+        exps.append((p, [int(np.count_nonzero(ranks >= i)) for i in range(1, ranks[0] + 1)]))
+    out = [math.prod(p ** e[i] for p, e in exps if i < len(e))
+           for i in reversed(range(max((len(e) for _, e in exps), default=0)))]
     view._invariant_factors = list(out)
     return out
 
@@ -205,29 +200,18 @@ def is_zero_sum_free(view: AbelianGroupView, seq: Sequence) -> bool:
 
 
 def davenport(view: AbelianGroupView, *, cap: int = DAVENPORT_CAP,
-              budget: SearchBudget | None = None, trust_formulas: bool = False) -> DavenportResult:
+              budget: SearchBudget | None = None) -> DavenportResult:
     """Smallest length forcing a subsequence with identity product.
 
     Exact search over canonical nondecreasing sequences of non-identity
     elements, pruning branches whose product set reaches the identity.
-    ``trust_formulas`` short-circuits cyclic groups to their order instead
-    of searching.
     """
-    if trust_formulas:
-        facs = invariant_factors(view)
-        if len(facs) <= 1:
-            value = facs[0] if facs else 1
-            gen = next((a for a in view.elements
-                        if view.element_order(a) == value), view.identity)
-            wit = Sequence.make(view, (gen,) * (value - 1))
-            return DavenportResult(value, wit, view)
     if view.order > cap and budget is None:
         raise BudgetExceeded(
             f"group order {view.order} exceeds the search cap {cap}; "
-            "pass a budget or use trust_formulas for cyclic groups")
-    pos = {a: i for i, a in enumerate(view.elements)}
-    rows = [[pos[view.op(a, b)] for b in view.elements] for a in view.elements]
-    candidates = [pos[a] for a in view.elements if a != view.identity]
-    length, wit_pos = max_free_sequence(rows, candidates, {pos[view.identity]}, budget=budget)
+            "pass a budget to override")
+    e = view.elements.index(view.identity)
+    candidates = [i for i in range(view.order) if i != e]
+    length, wit_pos = max_free_sequence(view.table().tolist(), candidates, {e}, budget=budget)
     witness = Sequence.make(view, tuple(view.elements[p] for p in wit_pos))
     return DavenportResult(length + 1, witness, view)

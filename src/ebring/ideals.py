@@ -211,10 +211,11 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
     """The complete list of maximal ideals, each certified by a field quotient.
 
     Route: quotient by the nilradical (semisimple, a product of fields),
-    take primitive idempotents there, annihilate each, and pull back.
+    take primitive idempotents there, annihilate each, and pull back. A zero
+    ideal is not quotiented out: R/(0) is R itself.
     """
     nil = nilradical(ring)
-    semi, theta = quotient_ring(ring, nil)
+    semi, theta = (ring, ring.element_array()) if nil.is_zero else quotient_ring(ring, nil)
     theta = np.asarray(theta)
     idem = np.array(sorted(idempotents(semi) - {semi.zero}), dtype=np.int64)
     # below[f, e]: f != e and f·e = f, i.e. f lies strictly under e
@@ -223,8 +224,7 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
     for e in idem[~below.any(axis=0)]:
         ann = semi.vmul(semi.element_array(), e) == semi.zero
         m = _make_ideal(ring, _members(ann[theta]))
-        quot, _ = quotient_ring(ring, m)
-        if not is_field(quot):
+        if not is_field(ring if m.is_zero else quotient_ring(ring, m)[0]):
             raise InternalConsistencyError(
                 f"candidate maximal ideal {m.render()} has a non-field quotient")
         found.append(m)

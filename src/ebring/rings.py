@@ -19,6 +19,7 @@ cap is rejected because it carries no correctness guarantee.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence as Seq
 
 import numpy as np
@@ -267,6 +268,28 @@ def _prime_power(q):
 
 # constructors --------------------------------------------------------------
 
+class MixedRadix:
+    """Mixed-radix codec: the index of digits (x_0, ..., x_{r-1}), x_k < sizes[k],
+    is the sum of x_k·w_k with w_k = sizes[0]···sizes[k-1], so x_0 varies fastest.
+
+    ``order`` is an exact Python int; callers bound it before using the int64
+    weights.
+    """
+
+    def __init__(self, sizes):
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.order = math.prod(int(s) for s in sizes)
+        self.weights = np.cumprod(np.concatenate(([1], self.sizes)))[:-1]
+
+    def digits(self, x) -> np.ndarray:
+        """Digits of an index array, along a new last axis."""
+        return np.asarray(x)[..., None] // self.weights % self.sizes
+
+    def encode(self, digits) -> np.ndarray:
+        """Indices of digit arrays given along their last axis."""
+        return np.asarray(digits, dtype=np.int64) @ self.weights
+
+
 def make_zmod(n: int) -> FiniteRing:
     """The ring of integers modulo n."""
     if n < 2:
@@ -326,14 +349,9 @@ def make_poly_quotient(base: FiniteRing, f, label: str | None = None) -> FiniteR
 
     badd, bmul, bneg = base._add_t, base._mul_t, base._neg_t
     bzero, bone = base.zero, base.one
-    weights = q ** np.arange(d, dtype=np.int64)
+    codec = MixedRadix([q] * d)
+    digits, encode = codec.digits, codec.encode
     red = bneg[list(f[:d])]  # x^d mod f, as coefficient indices
-
-    def digits(x):
-        return np.asarray(x)[..., None] // weights % q
-
-    def encode(dig):
-        return dig @ weights
 
     def add_k(x, y):
         return encode(badd[digits(x), digits(y)])
@@ -363,8 +381,8 @@ def make_poly_quotient(base: FiniteRing, f, label: str | None = None) -> FiniteR
             coeffs.pop()
         return gfpoly.render(base, tuple(coeffs))
 
-    zero_idx = bzero * sum(q ** e for e in range(d))
-    one_idx = zero_idx - bzero + bone
+    zero_idx = int(encode([bzero] * d))
+    one_idx = int(encode([bone] + [bzero] * (d - 1)))
     if label is None:
         label = f"{base.label}[x]/({gfpoly.render(base, f)})"
     if order > TABLE_CAP:
@@ -376,15 +394,14 @@ def make_poly_quotient(base: FiniteRing, f, label: str | None = None) -> FiniteR
     mul = np.empty_like(add)
     add[0], mul[0] = add_k(0, idx), mul_k(0, idx)
     steps = badd[np.arange(1, q), bneg[0]]  # c - c0 for digits c = 1..q-1
-    for s in range(d):
-        lo = q ** s
-        digit = idx // lo % q
+    dig = digits(idx)
+    for s, lo in enumerate(codec.weights.tolist()):
+        digit = dig[:, s]
         shifted = idx + (badd[steps[:, None], digit] - digit) * lo  # b + (c - c0)x^s
         for k in range(q - 1):
             add[(k + 1) * lo:(k + 2) * lo] = add[:lo][:, shifted[k]]
     power = idx  # x^s·b for every b; the mul rows need the whole add table
-    for s in range(d):
-        lo = q ** s
+    for lo in codec.weights.tolist():
         mono = scale(steps[:, None], power)  # (c - c0)x^s·b
         for k in range(q - 1):
             mul[(k + 1) * lo:(k + 2) * lo] = add[mul[:lo], mono[k]]
@@ -396,37 +413,24 @@ def make_product(factors: Seq[FiniteRing], label: str | None = None) -> FiniteRi
     """Componentwise product ring on the Cartesian product of the factors."""
     if not factors:
         raise ValueError("a product ring needs at least one factor")
-    sizes = [f.order for f in factors]
-    order = 1
-    for s in sizes:
-        order *= s
-        if order > TABLE_CAP:
-            raise ValueError(f"product order exceeds the cap {TABLE_CAP}")
-    weights = []
-    w = 1
-    for s in sizes:
-        weights.append(w)
-        w *= s
+    codec = MixedRadix([f.order for f in factors])
+    if codec.order > TABLE_CAP:
+        raise ValueError(f"product order exceeds the cap {TABLE_CAP}")
 
-    def decode(idx):
-        return tuple((idx // weights[k]) % sizes[k] for k in range(len(sizes)))
+    def componentwise(op):
+        def kernel(x, y):
+            dx, dy = codec.digits(x), codec.digits(y)
+            # stacking on a leading axis copies whole blocks, unlike axis=-1
+            return codec.encode(np.moveaxis(np.stack([op(f, dx[..., k], dy[..., k])
+                                                      for k, f in enumerate(factors)]), 0, -1))
+        return kernel
 
-    def encode(digits):
-        return sum(dk * weights[k] for k, dk in enumerate(digits))
-
-    def add_k(x, y):
-        return sum(f.vadd(x // w % f.order, y // w % f.order) * w
-                   for f, w in zip(factors, weights))
-
-    def mul_k(x, y):
-        return sum(f.vmul(x // w % f.order, y // w % f.order) * w
-                   for f, w in zip(factors, weights))
-
-    zero = encode([f.zero for f in factors])
-    one = encode([f.one for f in factors])
-    return FiniteRing(order, zero, one, label or " x ".join(f.label for f in factors),
-                      kernels=(add_k, mul_k, None),
-                      names=lambda i: _tuple_name(factors, decode(i)))
+    zero = int(codec.encode([f.zero for f in factors]))
+    one = int(codec.encode([f.one for f in factors]))
+    return FiniteRing(codec.order, zero, one, label or " x ".join(f.label for f in factors),
+                      kernels=(componentwise(FiniteRing.vadd),
+                               componentwise(FiniteRing.vmul), None),
+                      names=lambda i: _tuple_name(factors, codec.digits(i).tolist()))
 
 
 def _tuple_name(factors, digits):
@@ -490,21 +494,6 @@ def idempotents(ring: FiniteRing) -> frozenset[int]:
 
 def is_field(ring: FiniteRing) -> bool:
     return len(units(ring)) == ring.order - 1
-
-
-def mul_power(ring: FiniteRing, x: int, k: int) -> int:
-    """x raised to a nonnegative integer power; x^0 is 1."""
-    if k < 0:
-        raise ValueError("negative powers are not defined in a ring")
-    acc = ring.one
-    base = x
-    while k:
-        if k & 1:
-            acc = ring.mul(acc, base)
-        k >>= 1
-        if k:
-            base = ring.mul(base, base)
-    return acc
 
 
 def inverse(ring: FiniteRing, x: int) -> Optional[int]:

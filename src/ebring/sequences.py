@@ -13,8 +13,6 @@ from functools import reduce
 
 from .rings import idempotents
 
-SUBSEQUENCE_ORACLE_CAP = 20
-
 
 @dataclass(frozen=True)
 class Sequence:
@@ -61,16 +59,6 @@ def product_set(seq: Sequence) -> frozenset[int]:
     for a in seq.terms:
         acc |= {a} | {mul(s, a) for s in acc}
     return frozenset(acc)
-
-
-def subsequences_iter(seq: Sequence):
-    """All nonempty subsequences, for brute-force oracles only."""
-    n = len(seq.terms)
-    if n > SUBSEQUENCE_ORACLE_CAP:
-        raise ValueError(f"subsequence enumeration is capped at {SUBSEQUENCE_ORACLE_CAP} terms")
-    for mask in range(1, 1 << n):
-        yield Sequence.make(seq.carrier,
-                            tuple(seq.terms[i] for i in range(n) if mask >> i & 1))
 
 
 def is_idempotent_product_free(seq: Sequence) -> bool:

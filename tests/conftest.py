@@ -45,7 +45,7 @@ def naive_eb(ring, limit=10):
 def naive_davenport(view, limit=10):
     """Least length at which every sequence has an identity subset product."""
     for ell in range(1, limit + 1):
-        if not any(view.identity not in subset_products(view.op, combo)
+        if not any(view.identity not in subset_products(view.mul, combo)
                    for combo in combinations_with_replacement(view.elements, ell)):
             return ell
     raise AssertionError(f"no bound found up to {limit}")

@@ -62,6 +62,18 @@ def test_group_spec_grammar():
         parse_group_spec("Z2 x 4")
     with pytest.raises(SpecParseError):
         parse_group_spec("A5")
+    assert parse_group_spec("Z1") == [1]
+    for text, pos in (("Z0", 1), ("Z0 x Z3", 1), ("Z3 x Z00", 6)):
+        with pytest.raises(SpecParseError) as err:
+            parse_group_spec(text)
+        assert err.value.position == pos
+
+
+def test_davenport_cli_rejects_order_zero(capsys):
+    assert run(["davenport", "Z0 x Z3", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "a cyclic order must be at least 1" in err
 
 
 def test_build_ring_product_order():
@@ -176,6 +188,15 @@ def test_budget_env_override(capsys, monkeypatch):
     assert run(["invariants", "Z/13", "--exact", "--json"]) == 3
     monkeypatch.setenv("EBRING_BUDGET", "100000000")
     assert run(["invariants", "Z/13", "--exact", "--json"]) == 0
+    capsys.readouterr()
+
+
+def test_crosscheck_int_takes_exactly_one_modulus(capsys):
+    assert run(["crosscheck", "int", "12", "13"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "crosscheck int needs N" in err
+    assert run(["crosscheck", "int"]) == 2  # argparse: values needs one or more
     capsys.readouterr()
 
 

@@ -1,3 +1,7 @@
+import math
+from itertools import combinations_with_replacement
+
+import numpy as np
 import pytest
 
 from ebring import (AbelianGroupView, BudgetExceeded, SearchBudget, davenport,
@@ -6,6 +10,40 @@ from ebring import (AbelianGroupView, BudgetExceeded, SearchBudget, davenport,
 from ebring.sequences import Sequence, product_set
 
 from conftest import naive_davenport, subset_products
+
+
+def _order(g, a):
+    """Order of a, by multiplying until the identity comes back."""
+    k, acc = 1, a
+    while acc != g.identity:
+        acc = g.mul(acc, a)
+        k += 1
+    return k
+
+
+def _prime_powers(d):
+    """{p: e} with d the product of the p^e."""
+    out, p = {}, 2
+    while d > 1:
+        while d % p == 0:
+            out[p] = out.get(p, 0) + 1
+            d //= p
+        p += 1
+    return out
+
+
+def _normal_form(spec):
+    """Invariant factors of the product of cyclic groups of the given orders:
+    split each Z_d into its prime-power parts Z_{p^e}, then give the largest
+    factor the largest p-power of every prime, the next factor the next."""
+    parts = {}
+    for d in spec:
+        for p, e in _prime_powers(d).items():
+            parts.setdefault(p, []).append(e)
+    parts = {p: sorted(es, reverse=True) for p, es in parts.items()}
+    rank = max((len(es) for es in parts.values()), default=0)
+    return [math.prod(p ** es[i] for p, es in parts.items() if i < len(es))
+            for i in reversed(range(rank))]
 
 
 def test_invariant_factors_trivial_group():
@@ -22,7 +60,7 @@ def test_unit_group_of_field_is_cyclic():
     for q in (3, 4, 5, 7, 8, 9):
         g = unit_group_view(make_gf(q))
         assert invariant_factors(g) == [q - 1]
-        assert any(g.element_order(a) == q - 1 for a in g.elements)
+        assert any(_order(g, a) == q - 1 for a in g.elements)
 
 
 def test_synthetic_factors_are_normalized():
@@ -39,7 +77,7 @@ def test_factor_product_and_exponent_invariants():
         for d in facs:
             prod *= d
         assert prod == g.order
-        assert facs[-1] == g.exponent()
+        assert facs[-1] == max(_order(g, a) for a in g.elements)
         for a, b in zip(facs, facs[1:]):
             assert b % a == 0
 
@@ -49,11 +87,40 @@ def test_synthetic_group_rejects_unit_factor():
         synthetic_group([1, 4])
 
 
+def test_invariant_factors_match_closed_forms():
+    # U(Z/p^k) is cyclic of order p^(k-1)(p-1) for odd p
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
+        k = 1
+        while p ** k <= 2200:
+            assert invariant_factors(unit_group_view(make_zmod(p ** k))) == \
+                [p ** (k - 1) * (p - 1)], p ** k
+            k += 1
+    # U(Z/2^k) is Z2 x Z_{2^(k-2)} for k >= 3
+    assert invariant_factors(unit_group_view(make_zmod(2))) == []
+    assert invariant_factors(unit_group_view(make_zmod(4))) == [2]
+    for k in range(3, 13):
+        assert invariant_factors(unit_group_view(make_zmod(2 ** k))) == [2, 2 ** (k - 2)], k
+    # a product of cyclic groups is normalised by its prime-power parts
+    for r in (1, 2, 3):
+        for spec in combinations_with_replacement(range(2, 9), r):
+            for order in (spec, spec[::-1]):
+                assert invariant_factors(synthetic_group(order)) == _normal_form(order), order
+
+
+_LOOP = np.array([[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+                  [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]])
+_NONCOMMUTATIVE = np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+
+
 def test_group_validation_rejects_broken_ops():
-    with pytest.raises(ValueError):
-        AbelianGroupView(range(5), lambda a, b: (a - b) % 5, 0, "broken")
-    with pytest.raises(ValueError):
-        AbelianGroupView(range(4), lambda a, b: min(a + b, 3), 0, "no inverses")
+    for order, vop, message in (
+            (4, lambda a, b: a + b, r"operation escapes the carrier at \(1, 3\)"),
+            (5, lambda a, b: (a - b) % 5, "identity fails at element 1"),
+            (3, lambda a, b: _NONCOMMUTATIVE[a, b], r"commutativity fails at \(1, 2\)"),
+            (4, lambda a, b: np.minimum(a + b, 3), "element 1 has no inverse"),
+            (6, lambda a, b: _LOOP[a, b], "associativity fails at")):
+        with pytest.raises(ValueError, match=message):
+            AbelianGroupView(range(order), vop, 0, "broken")
 
 
 def test_davenport_trivial_group():
@@ -131,19 +198,13 @@ def test_budget_overrides_the_cap():
     assert result.value == 5
 
 
-def test_trust_formulas_matches_search_for_cyclic_groups():
-    for n in (2, 5, 9):
-        g = synthetic_group([n])
-        assert davenport(g, trust_formulas=True).value == davenport(g).value
-
-
 def test_search_matches_brute_force_oracle():
     for spec in ([3, 3], [2, 4]):
         g = synthetic_group(spec)
         result = davenport(g)
         assert result.value == naive_davenport(g)
         assert len(result.witness) == result.value - 1
-        assert g.identity not in subset_products(g.op, result.witness.terms)
+        assert g.identity not in subset_products(g.mul, result.witness.terms)
 
 
 def test_zero_sum_free_predicate():

@@ -258,12 +258,53 @@ def test_maximal_ideals_match_subset_enumeration():
         assert {m.members for m in maximal_ideals(r)} == expected, spec
 
 
+def _maximal_by_extension(ring):
+    """Each proper principal ideal (x) grown greedily by every y that keeps it
+    proper. Every maximal ideal M holds an x in no other maximal ideal (prime
+    avoidance), and (x) can only grow into M, so all of them are found."""
+    found = set()
+    for x in ring.elements:
+        ideal = ideal_generated_by(ring, [x])
+        if not ideal.is_proper:
+            continue
+        for y in ring.elements:
+            if y not in ideal.members:
+                bigger = ideal_sum(ideal, ideal_generated_by(ring, [y]))
+                if bigger.is_proper:
+                    ideal = bigger
+        found.add(ideal.members)
+    return found
+
+
+def test_maximal_ideals_take_no_quotient_by_the_zero_ideal(monkeypatch):
+    """R/(0) is R: reduced rings and fields must not get a full copy built."""
+    from ebring import ideals
+    zero_quotients = []
+    original = ideals.quotient_ring
+
+    def spy(ring, ideal):
+        if ideal.is_zero:
+            zero_quotients.append(ring.label)
+        return original(ring, ideal)
+
+    monkeypatch.setattr(ideals, "quotient_ring", spy)
+    for spec in FAMILY_SPECS:
+        r = build_ring(spec)
+        assert {m.members for m in maximal_ideals(r)} == _maximal_by_extension(r), spec
+    assert zero_quotients == []
+
+
 def test_nilradical_matches_power_oracle():
     for spec in FAMILY_SPECS + ["Z/72", "GF(2)[x]/(x^4+x^2)", "GF(3)[x]/(x^3+x^2)"]:
         r = build_ring(spec)
-        from ebring import mul_power
-        expected = {x for x in r.elements
-                    if any(mul_power(r, x, k) == r.zero for k in range(1, r.order + 1))}
+        expected = set()
+        for x in r.elements:
+            acc = x
+            for _ in range(r.order):
+                if acc == r.zero:
+                    expected.add(x)
+                    break
+                acc = r.mul(acc, x)
         assert nilradical(r).members == frozenset(expected)
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from ebring import (AxiomViolation, FiniteRing, gfpoly, ideal_index, idempotents,
                     inverse, is_field, make_from_table, make_gf, make_poly_quotient,
-                    make_product, make_zmod, maximal_ideals, mul_power, nilradical,
+                    make_product, make_zmod, maximal_ideals, nilradical,
                     units, validate_ring)
 from ebring import rings
-from ebring.rings import _prime_power, prime_factors
+from ebring.rings import MixedRadix, _prime_power, prime_factors
 
 from conftest import FAMILY_SPECS, exhaustive_validate, family_ring
 
@@ -51,6 +51,21 @@ def test_gf4_is_a_field_with_cyclic_units():
 def test_gf_rejects_non_prime_power():
     with pytest.raises(ValueError):
         make_gf(6)
+
+
+def test_mixed_radix_codec_round_trips():
+    for sizes in ([], [5], [2, 3], [4, 1, 3], [3, 3, 3, 3]):
+        codec = MixedRadix(sizes)
+        idx = np.arange(codec.order)
+        dig = codec.digits(idx)
+        assert dig.shape == (codec.order, len(sizes))
+        assert np.array_equal(codec.encode(dig), idx)
+        for x in range(codec.order):  # digit k is x // (sizes[0]···sizes[k-1]) % sizes[k]
+            rest = x
+            for k, d in enumerate(sizes):
+                assert dig[x, k] == rest % d
+                rest //= d
+    assert MixedRadix([4096] * 6).order == 2 ** 72  # exact, for the callers' caps
 
 
 def test_prime_power_detection():
@@ -176,20 +191,6 @@ def test_units_closed_under_product_and_inverse():
         u = units(r)
         assert all(r.mul(x, y) in u for x in u for y in u)
         assert all(inverse(r, x) in u for x in u)
-
-
-def test_mul_power_matches_iteration():
-    r = make_zmod(9)
-    for x in r.elements:
-        acc = r.one
-        for k in range(7):
-            assert mul_power(r, x, k) == acc
-            acc = r.mul(acc, x)
-
-
-def test_mul_power_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        mul_power(make_zmod(5), 2, -1)
 
 
 def test_inverse_absent_for_nonunits():

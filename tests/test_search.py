@@ -9,7 +9,7 @@ from conftest import FAMILY_SPECS, family_ring
 
 def _group_input(view):
     pos = {a: i for i, a in enumerate(view.elements)}
-    rows = [[pos[view.op(a, b)] for b in view.elements] for a in view.elements]
+    rows = [[pos[view.mul(a, b)] for b in view.elements] for a in view.elements]
     return rows, [pos[a] for a in view.elements if a != view.identity], {pos[view.identity]}
 
 

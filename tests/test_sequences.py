@@ -4,7 +4,7 @@ import pytest
 
 from ebring import (Sequence, concat, empty_sequence,
                     is_idempotent_product_free, make_zmod, product_set,
-                    sequence_product, subsequences_iter)
+                    sequence_product)
 
 from conftest import subset_products
 
@@ -80,27 +80,12 @@ def test_incremental_identity_under_concat():
             s | {a} | {r.mul(x, a) for x in s})
 
 
-def test_subsequence_iterator_counts():
-    r = make_zmod(6)
-    seq = Sequence.make(r, (1, 2, 3))
-    subs = list(subsequences_iter(seq))
-    assert len(subs) == 7
-    assert all(len(s) >= 1 for s in subs)
-
-
 def test_product_set_equals_subsequence_products():
     rng = random.Random(42)
     r = make_zmod(12)
     for _ in range(100):
         seq = Sequence.make(r, tuple(rng.randrange(12) for _ in range(rng.randint(1, 8))))
-        via_iter = {sequence_product(s) for s in subsequences_iter(seq)}
-        assert product_set(seq) == frozenset(via_iter)
-
-
-def test_subsequence_iterator_cap():
-    r = make_zmod(2)
-    with pytest.raises(ValueError):
-        list(subsequences_iter(Sequence.make(r, (1,) * 21)))
+        assert product_set(seq) == frozenset(subset_products(r.mul, seq.terms))
 
 
 def test_concat_rejects_mixed_carriers():
