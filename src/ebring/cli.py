@@ -323,11 +323,11 @@ def _trace_doc(trace) -> dict:
 # subcommands -------------------------------------------------------------------
 
 def _budget_from(args) -> SearchBudget | None:
-    nodes = getattr(args, "budget", None)
-    if nodes is None:
-        env = os.environ.get(BUDGET_ENV)
-        if env:
-            nodes = int(env)
+    nodes, source = args.budget, "--budget"
+    if nodes is None and os.environ.get(BUDGET_ENV):
+        nodes, source = int(os.environ[BUDGET_ENV]), BUDGET_ENV
+    if nodes is not None and nodes < 0:
+        raise ValueError(f"{source} must be a nonnegative node count, got {nodes}")
     return SearchBudget(max_nodes=nodes) if nodes is not None else None
 
 
@@ -340,7 +340,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_construct(args) -> int:
     ring = build_ring(args.ring_spec)
-    trace = construct_extremal(ring)
+    trace = construct_extremal(ring, budget=_budget_from(args))
     if args.json:
         print(json.dumps(_trace_doc(trace), indent=2))
         return 0
@@ -475,6 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build and verify the extremal free sequence")
     p.add_argument("ring_spec")
     p.add_argument("--json", action="store_true")
+    common(p)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("davenport", help="exact Davenport constant of an abelian group")

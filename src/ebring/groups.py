@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded
-from .rings import FiniteRing, MixedRadix, prime_factors, row_blocks, units
+from .errors import BudgetExceeded, InternalConsistencyError
+from .rings import FiniteRing, MixedRadix, _prime_power, prime_factors, row_blocks, units
 from .search import SearchBudget, max_free_sequence
 from .sequences import Sequence, product_set
 
@@ -28,7 +28,7 @@ class AbelianGroupView:
     """A finite abelian group on element indices with a vectorized operation.
 
     For unit groups the indices are ring element indices; synthetic groups
-    use 0..order-1. Exposes ``mul``/``one`` so sequences work over it.
+    use 0..order-1. Exposes ``mul``/``vmul``/``one`` so sequences work over it.
     """
 
     def __init__(self, elements, vop, identity, label, names=None):
@@ -54,6 +54,10 @@ class AbelianGroupView:
 
     def mul(self, a: int, b: int) -> int:
         return int(self.vop(a, b))
+
+    @property
+    def vmul(self):
+        return self.vop
 
     def name(self, i: int) -> str:
         if self._names is None:
@@ -199,19 +203,52 @@ def is_zero_sum_free(view: AbelianGroupView, seq: Sequence) -> bool:
     return view.identity not in product_set(seq)
 
 
+def _least_generator(view: AbelianGroupView) -> int:
+    """Least element of a cyclic group whose power n/p is not the identity
+    for any prime p of the order n."""
+    els = view.element_array()
+    gen = np.ones(len(els), dtype=bool)
+    for p, _ in prime_factors(view.order):
+        gen &= _power(view, els, view.order // p) != view.identity
+    return int(els[np.argmax(gen)])
+
+
 def davenport(view: AbelianGroupView, *, cap: int = DAVENPORT_CAP,
               budget: SearchBudget | None = None) -> DavenportResult:
-    """Smallest length forcing a subsequence with identity product.
+    """Smallest length forcing a subsequence with identity product, with the
+    lexicographically least zero-sum-free witness of one term less.
 
-    Exact search over canonical nondecreasing sequences of non-identity
-    elements, pruning branches whose product set reaches the identity.
+    D(G) = D*(G) = 1 + sum(n_i - 1) over the invariant factors n_i is a
+    theorem for cyclic groups, for rank two and for p-groups (Olson 1969;
+    Geroldinger-Halter-Koch, Non-Unique Factorizations, 2006, ch. 5).
+    Cyclic groups up to ``GROUP_VALIDATION_CAP`` take the closed form: the
+    zero-sum-free sequences of length n - 1 in Z_n are g^(n-1) for the
+    generators g, so the witness is the least generator n - 1 times. Other
+    groups run the exact search over canonical nondecreasing sequences of
+    non-identity elements, within ``cap`` unless a budget is given; where
+    the theorem holds it is the search's ceiling, and the search must meet
+    it. Every witness is checked zero-sum free.
     """
-    if view.order > cap and budget is None:
-        raise BudgetExceeded(
-            f"group order {view.order} exceeds the search cap {cap}; "
-            "pass a budget to override")
-    e = view.elements.index(view.identity)
-    candidates = [i for i in range(view.order) if i != e]
-    length, wit_pos = max_free_sequence(view.table().tolist(), candidates, {e}, budget=budget)
-    witness = Sequence.make(view, tuple(view.elements[p] for p in wit_pos))
-    return DavenportResult(length + 1, witness, view)
+    factors = invariant_factors(view)
+    value = 1 + sum(d - 1 for d in factors)
+    if len(factors) <= 1 and view.order <= GROUP_VALIDATION_CAP:
+        terms = (_least_generator(view),) * (view.order - 1)
+    else:
+        if view.order > cap and budget is None:
+            raise BudgetExceeded(
+                f"group order {view.order} exceeds the search cap {cap}; "
+                "pass a budget to override")
+        theorem = len(factors) <= 2 or _prime_power(view.order) is not None
+        e = view.elements.index(view.identity)
+        candidates = [i for i in range(view.order) if i != e]
+        length, wit_pos = max_free_sequence(view.table().tolist(), candidates, {e}, budget=budget,
+                                            ceiling=value - 1 if theorem else None)
+        if theorem and length != value - 1:
+            raise InternalConsistencyError(
+                f"search found D = {length + 1} in {view.label}, against the theorem's {value}")
+        value = length + 1
+        terms = tuple(view.elements[p] for p in wit_pos)
+    witness = Sequence.make(view, terms)
+    if len(witness) != value - 1 or not is_zero_sum_free(view, witness):
+        raise InternalConsistencyError(f"Davenport witness of {view.label} is not zero-sum free")
+    return DavenportResult(value, witness, view)

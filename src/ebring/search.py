@@ -10,6 +10,12 @@ grow. States are memoized with an LRU-capped table mapping (mask, position) to
 the best extension depth proven from there. The DFS runs on an explicit stack,
 so sequence length is not bounded by the interpreter's recursion limit.
 
+A caller that knows no free sequence is longer than some ``ceiling`` may pass
+it: a state whose prefix plus proven extension reaches the ceiling stops
+expanding. Its memo entry is still exact, since no extension can be longer,
+and the run is a prefix of the uncapped DFS, so it expands no more nodes and
+reconstructs the same witness.
+
 The product step S·a = S | {a} | {s·a : s in S} ORs one table entry per
 nonzero byte of S: entry ``256*j + b`` of a's table is the mask of s·a over
 s = 8j + k for the set bits k of b. Above ``TABLE_CAP`` entries the tables go
@@ -50,7 +56,9 @@ def _chunk_table(mul_rows, a: int, n: int) -> list[int]:
 
 
 class _Engine:
-    def __init__(self, mul_rows, candidates, forbidden, budget):
+    def __init__(self, mul_rows, candidates, forbidden, budget, ceiling=None):
+        # each term of a free sequence grows its product set, so n bounds the length
+        self.ceiling = len(mul_rows) if ceiling is None else ceiling
         self.cands = tuple(int(a) for a in candidates)
         self.bits = tuple(1 << a for a in self.cands)
         self.forbidden = sum(1 << e for e in {int(e) for e in forbidden})
@@ -95,7 +103,7 @@ class _Engine:
         an explicit stack, with memo lookups, stores and evictions in the order
         of the plain recursion."""
         memo, forbidden, expand, keys_of = self.memo, self.forbidden, self.expand, self.keys
-        ncands = len(self.cands)
+        ncands, ceiling = len(self.cands), self.ceiling
         key = (state, start)
         got = memo.get(key)
         if got is not None:
@@ -119,7 +127,10 @@ class _Engine:
                         state, start, depth, keys, best = ns, idx, depth + 1, keys_of(ns), 0
                         continue
                     memo.move_to_end(key)
-                    best = max(best, got + 1)
+                    if got >= best:
+                        best = got + 1
+                        if depth + best >= ceiling:
+                            break
                 idx += 1
             if depth + best > self.best_len:
                 self.best_len = depth + best
@@ -130,7 +141,7 @@ class _Engine:
                 return best
             state, start, depth, keys, idx, parent_best = stack.pop()
             best = max(parent_best, best + 1)
-            idx += 1
+            idx = ncands if depth + best >= ceiling else idx + 1
 
     def witness(self, total):
         """Lexicographically least canonical sequence achieving the maximum."""
@@ -141,7 +152,7 @@ class _Engine:
             keys = self.keys(state)
             for idx in range(start, len(self.cands)):
                 ns = self.expand(state, keys, idx)
-                if not ns & self.forbidden and self.longest(ns, idx, 0) == remaining - 1:
+                if not ns & self.forbidden and self.longest(ns, idx, len(seq) + 1) == remaining - 1:
                     seq.append(self.cands[idx])
                     state, start, remaining = ns, idx, remaining - 1
                     break
@@ -150,13 +161,15 @@ class _Engine:
         return tuple(seq)
 
 
-def max_free_sequence(mul_rows, candidates, forbidden, *, budget: SearchBudget | None = None):
+def max_free_sequence(mul_rows, candidates, forbidden, *, budget: SearchBudget | None = None,
+                      ceiling: int | None = None):
     """Length of the longest sequence whose product set avoids ``forbidden``,
     plus the lexicographically least witness of that length.
 
     ``mul_rows`` is an indexable table of rows covering every index reachable
-    by multiplying candidates together.
+    by multiplying candidates together. ``ceiling``, if given, must bound the
+    length of every free sequence; the result is the same, found sooner.
     """
-    eng = _Engine(mul_rows, sorted(candidates), forbidden, budget)
+    eng = _Engine(mul_rows, sorted(candidates), forbidden, budget, ceiling)
     total = eng.longest(0, 0, 0)
     return total, eng.witness(total)

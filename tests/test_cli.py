@@ -156,7 +156,8 @@ def test_run_threads_validation(capsys):
 
 
 def test_budget_exhaustion_reports_nodes_on_stderr(capsys):
-    assert run(["davenport", "Z4xZ4", "--budget", "10", "--json"]) == 3
+    # rank 3 and not a p-group, so no theorem gives D(G) and the full search runs
+    assert run(["davenport", "Z2xZ2xZ6", "--budget", "10", "--json"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert "best free length proven: " in err
@@ -254,3 +255,54 @@ def test_huge_rings_are_refused_not_enumerated(capsys):
     assert "queries over every element are limited" in capsys.readouterr().err
     assert run(["inspect", "GF(2)[x]/(x^70)", "units"]) == 2
     assert "exceeds 2^62" in capsys.readouterr().err
+
+
+def test_negative_budget_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    for argv in (["invariants", "Z/12"], ["construct", "Z/12"], ["davenport", "Z4xZ4"],
+                 ["verify", "Z/6"]):
+        assert run(argv + ["--budget", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--budget must be a nonnegative node count, got -1" in err
+    monkeypatch.setenv("EBRING_BUDGET", "-5")
+    assert run(["davenport", "Z4xZ4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "EBRING_BUDGET must be a nonnegative node count, got -5" in err
+
+
+def test_construct_takes_the_budget(capsys, monkeypatch):
+    # U(Z/84) = Z2 x Z2 x Z6 is outside the theorems, so its Davenport search runs
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    assert run(["construct", "Z/84", "--budget", "10"]) == 3
+    assert "nodes expanded: 10)" in capsys.readouterr().err
+    monkeypatch.setenv("EBRING_BUDGET", "10")
+    assert run(["construct", "Z/84"]) == 3
+    assert "nodes expanded: 10)" in capsys.readouterr().err
+    assert run(["construct", "Z/84", "--budget", "100000"]) == 0
+    assert "verified      idempotent-product free" in capsys.readouterr().out
+
+
+def _parse_element(name):
+    """'12' -> (12,); '(3,1)' -> (3, 1)."""
+    return tuple(int(c) for c in name.strip("()").split(","))
+
+
+@pytest.mark.parametrize("spec, moduli", [("Z/101", (101,)), ("Z/97 x Z/2", (97, 2))])
+def test_cyclic_unit_groups_above_the_search_cap(spec, moduli, capsys, monkeypatch):
+    """Unit groups of order 100 and 96 are above the search cap of 64; the
+    closed form certifies D = |U| with a witness that an oracle over plain
+    integer tuples finds zero-sum free."""
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    assert run(["invariants", spec, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    n = doc["units_order"]
+    assert doc["unit_group"] == [n] and doc["davenport"] == n
+    terms = [_parse_element(t) for t in doc["witness_T"]]
+    assert len(terms) == n - 1
+    one = (1,) * len(moduli)
+    products = set()
+    for a in terms:
+        products |= {a} | {tuple(x * y % m for x, y, m in zip(s, a, moduli)) for s in products}
+    assert one not in products

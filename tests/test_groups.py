@@ -1,15 +1,16 @@
 import math
+import random
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from ebring import (AbelianGroupView, BudgetExceeded, SearchBudget, davenport,
-                    invariant_factors, is_zero_sum_free, make_gf, make_zmod,
-                    synthetic_group, unit_group_view)
+from ebring import (AbelianGroupView, BudgetExceeded, InternalConsistencyError, SearchBudget,
+                    davenport, groups, invariant_factors, is_zero_sum_free, make_from_table,
+                    make_gf, make_zmod, search, synthetic_group, unit_group_view)
 from ebring.sequences import Sequence, product_set
 
-from conftest import naive_davenport, subset_products
+from conftest import FAMILY_SPECS, family_ring, naive_davenport, subset_products
 
 
 def _order(g, a):
@@ -212,3 +213,90 @@ def test_zero_sum_free_predicate():
     assert is_zero_sum_free(g, Sequence.make(g, (1, 1, 1)))
     assert not is_zero_sum_free(g, Sequence.make(g, (1, 3)))
     assert g.identity not in product_set(Sequence.make(g, (1, 1)))
+
+
+# D(G) by theorem against the exhaustive search ------------------------------
+
+def _full_search(view):
+    """Value, witness and node count of the exhaustive search with no ceiling,
+    as ``max_free_sequence`` runs it on the group's table."""
+    e = view.elements.index(view.identity)
+    eng = search._Engine(view.table().tolist(), [i for i in range(view.order) if i != e], {e}, None)
+    total = eng.longest(0, 0, 0)
+    nodes = eng.nodes
+    return total + 1, tuple(view.elements[p] for p in eng.witness(total)), nodes
+
+
+def _assert_theorem_matches_search(view):
+    """Same value and witness as the full search, within its node count."""
+    value, witness, nodes = _full_search(view)
+    result = davenport(view, budget=SearchBudget(max_nodes=nodes))
+    assert (result.value, result.witness.terms) == (value, witness), view.label
+
+
+def _relabel(ring, rng):
+    """The same ring under a random permutation of its element indices."""
+    n = ring.order
+    perm = np.array(rng.sample(range(n), n))  # old index i becomes perm[i]
+    add, mul = np.empty((n, n), dtype=np.int64), np.empty((n, n), dtype=np.int64)
+    add[perm[:, None], perm[None, :]] = perm[ring._add_t]
+    mul[perm[:, None], perm[None, :]] = perm[ring._mul_t]
+    return make_from_table(n, add.ravel(), mul.ravel(), label=f"relabelled {ring.label}")
+
+
+SMALL_GROUPS = [spec for r in (1, 2, 3) for spec in combinations_with_replacement(range(2, 33), r)
+                if math.prod(spec) <= 32]
+
+
+@pytest.mark.parametrize("spec", SMALL_GROUPS, ids=lambda s: "x".join(map(str, s)))
+def test_theorem_matches_search_on_small_groups(spec):
+    _assert_theorem_matches_search(synthetic_group(spec))
+
+
+def test_theorem_matches_search_on_family_unit_groups():
+    for spec in FAMILY_SPECS:
+        _assert_theorem_matches_search(unit_group_view(family_ring(spec)))
+
+
+RELABELLED = ["Z/16", "Z/24", "Z/25", "Z/27", "Z/32", "Z/36", "GF(2)[x]/(x^4)",
+              "GF(3)[x]/(x^2)", "Z/4 x GF(5)", "GF(2)[x]/(x^3) x Z/9"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_theorem_matches_search_under_relabelling(seed):
+    ring = _relabel(family_ring(RELABELLED[seed % len(RELABELLED)]), random.Random(seed))
+    _assert_theorem_matches_search(unit_group_view(ring))
+
+
+def test_group_outside_the_theorems_runs_the_full_search():
+    g = synthetic_group([2, 2, 6])  # rank 3, not a p-group
+    value, witness, nodes = _full_search(g)
+    assert (value, nodes) == (8, 8718)
+    assert davenport(g).witness.terms == witness
+    with pytest.raises(BudgetExceeded) as err:
+        davenport(g, budget=SearchBudget(max_nodes=nodes - 1))
+    assert err.value.nodes == nodes - 1
+
+
+def test_theorem_path_checks_its_witness(monkeypatch):
+    # a wrong generator makes the closed form's witness reach the identity
+    monkeypatch.setattr(groups, "_least_generator", lambda view: 2)
+    with pytest.raises(InternalConsistencyError, match="not zero-sum free"):
+        davenport(synthetic_group([6]))
+    monkeypatch.undo()
+    # a ceiling above the true maximum is reported, not returned
+    monkeypatch.setattr(groups, "invariant_factors", lambda view: [2, 4])
+    with pytest.raises(InternalConsistencyError, match="against the theorem"):
+        davenport(synthetic_group([2, 2, 2]))
+
+
+def test_cyclic_closed_form_above_the_search_cap():
+    # 2 and 5 are the least primitive roots of 101 and 97
+    for view, gen in ((unit_group_view(make_zmod(101)), 2), (unit_group_view(make_zmod(97)), 5),
+                      (synthetic_group([128]), 1)):
+        assert view.order > groups.DAVENPORT_CAP
+        result = davenport(view)
+        assert result.value == view.order
+        assert result.witness.terms == (gen,) * (view.order - 1)
+    with pytest.raises(BudgetExceeded):
+        davenport(synthetic_group([2] * 7))  # order 128, not cyclic

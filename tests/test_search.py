@@ -24,6 +24,7 @@ def test_sequence_longer_than_the_recursion_limit():
     n = 1201
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]
     assert max_free_sequence(rows, [1], {0}) == (n - 1, (1,) * (n - 1))
+    assert max_free_sequence(rows, [1], {0}, ceiling=n - 1) == (n - 1, (1,) * (n - 1))
 
 
 def test_unreachable_forbidden_set_is_refused():
@@ -32,19 +33,45 @@ def test_unreachable_forbidden_set_is_refused():
         max_free_sequence(rows, [1], set())
 
 
-# each search returns its witness terms
+def _group_search(spec):
+    """The Davenport search with no ceiling, on the table ``davenport`` uses."""
+    view = synthetic_group(spec)
+    e = view.elements.index(view.identity)
+    rows, candidates = view.table().tolist(), [i for i in range(view.order) if i != e]
+    return lambda b: max_free_sequence(rows, candidates, {e}, budget=b)[1]
+
+
+# each search returns its witness terms; davenport on a group of rank two
+# cuts the same search at the theorem's ceiling D* - 1
 @pytest.mark.parametrize("search_fn, nodes, witness", [
     (lambda b: _exact_search(family_ring("Z/16"), budget=b)[1].terms, 677, (2, 2, 2, 3, 3, 3, 5)),
     (lambda b: _exact_search(family_ring("Z/12"), budget=b)[1].terms, 36, None),
-    (lambda b: davenport(synthetic_group([4, 4]), budget=b).witness.terms, 1375, (1, 1, 1, 4, 4, 4)),
-    (lambda b: davenport(synthetic_group([3, 3]), budget=b).witness.terms, 98, None),
-], ids=["exact-Z16", "exact-Z12", "davenport-Z4xZ4", "davenport-Z3xZ3"])
+    (_group_search([4, 4]), 1375, (1, 1, 1, 4, 4, 4)),
+    (_group_search([3, 3]), 98, (1, 1, 3, 3)),
+    (lambda b: davenport(synthetic_group([4, 4]), budget=b).witness.terms, 7, (1, 1, 1, 4, 4, 4)),
+    (lambda b: davenport(synthetic_group([3, 3]), budget=b).witness.terms, 5, (1, 1, 3, 3)),
+], ids=["exact-Z16", "exact-Z12", "davenport-Z4xZ4", "davenport-Z3xZ3",
+        "ceiling-Z4xZ4", "ceiling-Z3xZ3"])
 def test_node_count_is_pinned_by_the_budget(search_fn, nodes, witness):
     terms = search_fn(SearchBudget(max_nodes=nodes))
     assert witness is None or terms == witness
     with pytest.raises(BudgetExceeded) as err:
         search_fn(SearchBudget(max_nodes=nodes - 1))
     assert err.value.nodes == nodes - 1
+
+
+def test_ceiling_keeps_length_witness_and_memo_exact():
+    """A ceiling at the true maximum returns what the uncapped search does,
+    and every memo entry it leaves is the uncapped search's value."""
+    for args in ([_group_input(synthetic_group(spec)) for spec in ([4, 4], [2, 8], [3, 6])]
+                 + [(ring.mul_rows(), range(ring.order), idempotents(ring))
+                    for ring in map(family_ring, ("Z/12", "Z/16", "GF(2)[x]/(x^3)"))]):
+        full, (total, witness, nodes) = _engine_run(*args)
+        eng = search._Engine(args[0], sorted(args[1]), args[2], None, ceiling=total)
+        assert eng.longest(0, 0, 0) == total
+        assert eng.nodes <= nodes
+        assert eng.witness(total) == witness
+        assert all(full.memo[key] == got for key, got in eng.memo.items())
 
 
 def test_bit_walk_kernel_matches_the_tables(monkeypatch):
