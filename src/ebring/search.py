@@ -16,10 +16,20 @@ expanding. Its memo entry is still exact, since no extension can be longer,
 and the run is a prefix of the uncapped DFS, so it expands no more nodes and
 reconstructs the same witness.
 
-The product step S·a = S | {a} | {s·a : s in S} ORs one table entry per
-nonzero byte of S: entry ``256*j + b`` of a's table is the mask of s·a over
-s = 8j + k for the set bits k of b. Above ``TABLE_CAP`` entries the tables go
-by element instead, and the step walks the set bits of S.
+The product step is S·a = S | {a} | {s·a : s in S}. A node builds its free
+children eagerly, as (position, S·a) pairs, from its parent's free pairs at
+positions from its own on; a top-level call starts from every candidate at or
+after ``start``, as a child of the empty set. Dropping the parent's forbidden
+pairs is exact: S ⊆ S' implies S·a ⊆ S'·a, so a step that meets the
+forbidden mask at S meets it at S' too, and the plain DFS would have skipped
+it with no memo lookup. The step is incremental: with Δ = S' & ~S,
+S'·a = S' | S·a | Δ·a, since s·a for s in S is already in S·a, so it reads the
+tables at Δ only. Δ·a ORs one table entry per nonzero byte of Δ: entry
+``256*j + b`` of a's table is the mask of s·a over s = 8j + k for the set bits
+k of b. Above ``TABLE_CAP`` entries the tables go by element instead, and the
+step walks the set bits of Δ. Neither shortcut changes a product set, so
+nodes, memo traffic, counters and witnesses are those of the from-scratch
+step.
 """
 
 from __future__ import annotations
@@ -77,18 +87,27 @@ class _Engine:
             bit_of = [1 << e for e in range(n)]
             self.tables = [[bit_of[int(mul_rows[s][a])] for s in range(n)] for a in self.cands]
 
-    def keys(self, state):
-        """Positions in a candidate's table whose entries make up S·a for S = ``state``."""
+    def children(self, state, parent, pairs):
+        """Free (position, S'·a) pairs of S' = ``state``, from ``pairs`` of
+        (position, S·a) for S = ``parent`` ⊆ S' (see the module docstring)."""
+        delta = state & ~parent
         if self.chunked:
-            return [256 * j + b for j, b in enumerate(state.to_bytes(self.nbytes, "little")) if b]
-        return [s for s in range(state.bit_length()) if state >> s & 1]
+            keys = [256 * j + b for j, b in enumerate(delta.to_bytes(self.nbytes, "little")) if b]
+        else:
+            keys = [s for s in range(delta.bit_length()) if delta >> s & 1]
+        tables, forbidden, out = self.tables, self.forbidden, []
+        for idx, prod in pairs:
+            tab = tables[idx]
+            ns = state | prod
+            for k in keys:
+                ns |= tab[k]
+            if not ns & forbidden:
+                out.append((idx, ns))
+        return out
 
-    def expand(self, state, keys, idx):
-        tab = self.tables[idx]
-        new = state | self.bits[idx]
-        for k in keys:
-            new |= tab[k]
-        return new
+    def roots(self, state, start):
+        """Free pairs of the state (``state``, ``start``), computed from scratch."""
+        return self.children(state, 0, [(idx, self.bits[idx]) for idx in range(start, len(self.cands))])
 
     def _visit(self):
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
@@ -102,8 +121,7 @@ class _Engine:
         prefix of length ``depth``, without meeting the forbidden mask. Runs on
         an explicit stack, with memo lookups, stores and evictions in the order
         of the plain recursion."""
-        memo, forbidden, expand, keys_of = self.memo, self.forbidden, self.expand, self.keys
-        ncands, ceiling = len(self.cands), self.ceiling
+        memo, children, ceiling = self.memo, self.children, self.ceiling
         key = (state, start)
         got = memo.get(key)
         if got is not None:
@@ -111,27 +129,27 @@ class _Engine:
             return got
         self._visit()
         stack = []
-        keys, idx, best = keys_of(state), start, 0
+        pairs, pos, best = self.roots(state, start), 0, 0
         while True:
-            while idx < ncands:
-                ns = expand(state, keys, idx)
-                if not ns & forbidden:
-                    key = (ns, idx)
-                    got = memo.get(key)
-                    if got is None:
-                        if ns == state:  # closed under ·a, so no power of a is forbidden
-                            raise ValueError("no free sequence is maximal: the forbidden "
-                                             "set holds no power of a candidate")
-                        self._visit()
-                        stack.append((state, start, depth, keys, idx, best))
-                        state, start, depth, keys, best = ns, idx, depth + 1, keys_of(ns), 0
-                        continue
-                    memo.move_to_end(key)
-                    if got >= best:
-                        best = got + 1
-                        if depth + best >= ceiling:
-                            break
-                idx += 1
+            while pos < len(pairs):
+                idx, ns = pairs[pos]
+                key = (ns, idx)
+                got = memo.get(key)
+                if got is None:
+                    if ns == state:  # closed under ·a, so no power of a is forbidden
+                        raise ValueError("no free sequence is maximal: the forbidden "
+                                         "set holds no power of a candidate")
+                    self._visit()
+                    stack.append((state, start, depth, pairs, pos, best))
+                    state, start, depth, pairs, pos, best = (
+                        ns, idx, depth + 1, children(ns, state, pairs[pos:]), 0, 0)
+                    continue
+                memo.move_to_end(key)
+                if got >= best:
+                    best = got + 1
+                    if depth + best >= ceiling:
+                        break
+                pos += 1
             if depth + best > self.best_len:
                 self.best_len = depth + best
             memo[(state, start)] = best
@@ -139,22 +157,20 @@ class _Engine:
                 memo.popitem(last=False)
             if not stack:
                 return best
-            state, start, depth, keys, idx, parent_best = stack.pop()
+            state, start, depth, pairs, pos, parent_best = stack.pop()
             best = max(parent_best, best + 1)
-            idx = ncands if depth + best >= ceiling else idx + 1
+            pos = len(pairs) if depth + best >= ceiling else pos + 1
 
     def witness(self, total):
         """Lexicographically least canonical sequence achieving the maximum."""
         self.max_nodes = self.deadline = None
         seq = []
-        state, start, remaining = 0, 0, total
+        state, remaining, pairs = 0, total, self.roots(0, 0)
         while remaining > 0:
-            keys = self.keys(state)
-            for idx in range(start, len(self.cands)):
-                ns = self.expand(state, keys, idx)
-                if not ns & self.forbidden and self.longest(ns, idx, len(seq) + 1) == remaining - 1:
+            for pos, (idx, ns) in enumerate(pairs):
+                if self.longest(ns, idx, len(seq) + 1) == remaining - 1:
                     seq.append(self.cands[idx])
-                    state, start, remaining = ns, idx, remaining - 1
+                    state, remaining, pairs = ns, remaining - 1, self.children(ns, state, pairs[pos:])
                     break
             else:
                 raise InternalConsistencyError("witness reconstruction diverged from the search")

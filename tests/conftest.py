@@ -1,6 +1,8 @@
 """Shared brute-force oracles, kept independent of the library's incremental
 routines: products are enumerated subset by subset straight from the
-definitions."""
+definitions, and the search reference recomputes every product step from the
+multiplication table. Property tests run under a derandomized hypothesis
+profile, so every run draws the same examples."""
 
 from __future__ import annotations
 
@@ -8,8 +10,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from ebring import AxiomViolation, build_ring
+from ebring import AxiomViolation, build_ring, make_from_table
+
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None,
+                          max_examples=20)
+settings.load_profile("derandomized")
 
 
 def subset_products(mul, terms):
@@ -49,6 +56,42 @@ def naive_davenport(view, limit=10):
                    for combo in combinations_with_replacement(view.elements, ell)):
             return ell
     raise AssertionError(f"no bound found up to {limit}")
+
+
+def longest_oracle(mul_rows, candidates, forbidden):
+    """Reference for the search engine's ``longest``: a function of (state,
+    start) giving the most terms from ``sorted(candidates)[start:]`` that
+    extend the product-set bitmask ``state`` without meeting ``forbidden``.
+    Plain recursion that recomputes every step S·a from ``mul_rows`` for
+    every candidate, with nothing inherited from the parent node."""
+    cands = sorted(int(a) for a in candidates)
+    forbidden_mask = sum(1 << int(e) for e in set(forbidden))
+    memo: dict[tuple[int, int], int] = {}
+
+    def longest(state, start):
+        if (state, start) not in memo:
+            best = 0
+            for idx in range(start, len(cands)):
+                a = cands[idx]
+                ns = state | 1 << a
+                for s in range(state.bit_length()):
+                    if state >> s & 1:
+                        ns |= 1 << int(mul_rows[s][a])
+                if not ns & forbidden_mask:
+                    best = max(best, 1 + longest(ns, idx))
+            memo[(state, start)] = best
+        return memo[(state, start)]
+
+    return longest
+
+
+def relabel(ring, perm):
+    """The same ring with element index i renamed ``perm[i]``."""
+    n, perm = ring.order, np.asarray(perm)
+    add, mul = np.empty((n, n), dtype=np.int64), np.empty((n, n), dtype=np.int64)
+    add[perm[:, None], perm[None, :]] = perm[ring._add_t]
+    mul[perm[:, None], perm[None, :]] = perm[ring._mul_t]
+    return make_from_table(n, add.ravel(), mul.ravel(), label=f"relabelled {ring.label}")
 
 
 def exhaustive_validate(ring):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ebring import (ALL_INDICES_ONE, BOTH, BudgetExceeded, LOCAL,
                     SearchBudget, Sequence, UNKNOWN, construct_extremal,
@@ -11,7 +12,7 @@ from ebring import (ALL_INDICES_ONE, BOTH, BudgetExceeded, LOCAL,
                     squarefree_case_certificate, units)
 from ebring.erdos_burgess import _exact_search
 
-from conftest import family_ring, is_free_sequence, naive_eb
+from conftest import family_ring, is_free_sequence, naive_eb, relabel
 
 # frozen from the naive subset-product oracle (see conftest.naive_eb)
 ORACLE_VALUES = {
@@ -127,6 +128,23 @@ def test_exact_value_invariant_under_relabeling():
     mul = [[perm[src.mul(inv[i], inv[j])] for j in range(10)] for i in range(10)]
     relabeled = make_from_table(10, add, mul)
     assert exact_eb(relabeled) == exact_eb(src)
+
+
+RELABEL_SPECS = ["Z/8", "Z/12", "Z/16", "GF(9)", "GF(2)[x]/(x^3)", "GF(2)[x]/(x^3+x^2)",
+                 "Z/4 x GF(3)"]
+
+
+@given(st.sampled_from(RELABEL_SPECS).flatmap(
+    lambda spec: st.tuples(st.just(spec), st.permutations(range(family_ring(spec).order)))))
+def test_exact_search_is_invariant_under_relabelling(spec_and_perm):
+    """Renaming the elements changes the search's order of candidates but not
+    the constant, and the witness stays free in the renamed ring."""
+    spec, perm = spec_and_perm
+    ring = relabel(family_ring(spec), perm)
+    value, witness = _exact_search(ring)
+    assert value == exact_eb(family_ring(spec))
+    assert len(witness.terms) == value - 1
+    assert is_free_sequence(ring, witness.terms)
 
 
 def test_local_certificate_unit_branch():

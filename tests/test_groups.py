@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from ebring import (AbelianGroupView, BudgetExceeded, InternalConsistencyError, SearchBudget,
-                    davenport, groups, invariant_factors, is_zero_sum_free, make_from_table,
+                    davenport, groups, invariant_factors, is_zero_sum_free,
                     make_gf, make_zmod, search, synthetic_group, unit_group_view)
 from ebring.sequences import Sequence, product_set
 
-from conftest import FAMILY_SPECS, family_ring, naive_davenport, subset_products
+from conftest import FAMILY_SPECS, family_ring, naive_davenport, relabel, subset_products
 
 
 def _order(g, a):
@@ -234,16 +234,6 @@ def _assert_theorem_matches_search(view):
     assert (result.value, result.witness.terms) == (value, witness), view.label
 
 
-def _relabel(ring, rng):
-    """The same ring under a random permutation of its element indices."""
-    n = ring.order
-    perm = np.array(rng.sample(range(n), n))  # old index i becomes perm[i]
-    add, mul = np.empty((n, n), dtype=np.int64), np.empty((n, n), dtype=np.int64)
-    add[perm[:, None], perm[None, :]] = perm[ring._add_t]
-    mul[perm[:, None], perm[None, :]] = perm[ring._mul_t]
-    return make_from_table(n, add.ravel(), mul.ravel(), label=f"relabelled {ring.label}")
-
-
 SMALL_GROUPS = [spec for r in (1, 2, 3) for spec in combinations_with_replacement(range(2, 33), r)
                 if math.prod(spec) <= 32]
 
@@ -264,7 +254,8 @@ RELABELLED = ["Z/16", "Z/24", "Z/25", "Z/27", "Z/32", "Z/36", "GF(2)[x]/(x^4)",
 
 @pytest.mark.parametrize("seed", range(20))
 def test_theorem_matches_search_under_relabelling(seed):
-    ring = _relabel(family_ring(RELABELLED[seed % len(RELABELLED)]), random.Random(seed))
+    ring = family_ring(RELABELLED[seed % len(RELABELLED)])
+    ring = relabel(ring, random.Random(seed).sample(range(ring.order), ring.order))
     _assert_theorem_matches_search(unit_group_view(ring))
 
 

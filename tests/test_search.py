@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
 from ebring import BudgetExceeded, SearchBudget, davenport, idempotents, max_free_sequence, synthetic_group
 from ebring import search
 from ebring.erdos_burgess import _exact_search
 
-from conftest import FAMILY_SPECS, family_ring
+from conftest import FAMILY_SPECS, family_ring, longest_oracle
 
 
 def _group_input(view):
@@ -74,10 +76,15 @@ def test_ceiling_keeps_length_witness_and_memo_exact():
         assert all(full.memo[key] == got for key, got in eng.memo.items())
 
 
-def test_bit_walk_kernel_matches_the_tables(monkeypatch):
+def _kernel_inputs():
+    """Every family ring in exact mode and three small groups in group mode."""
     inputs = [(ring.mul_rows(), range(ring.order), idempotents(ring))
               for ring in map(family_ring, FAMILY_SPECS)]
-    inputs += [_group_input(synthetic_group(spec)) for spec in ([3, 3], [2, 4], [2, 2, 2])]
+    return inputs + [_group_input(synthetic_group(spec)) for spec in ([3, 3], [2, 4], [2, 2, 2])]
+
+
+def test_bit_walk_kernel_matches_the_tables(monkeypatch):
+    inputs = _kernel_inputs()
     tabled = []
     for args in inputs:
         eng, got = _engine_run(*args)
@@ -88,3 +95,37 @@ def test_bit_walk_kernel_matches_the_tables(monkeypatch):
         eng, got = _engine_run(*args)
         assert not eng.chunked
         assert got == want
+
+
+@pytest.mark.parametrize("table_cap", [search.TABLE_CAP, 0], ids=["chunked", "bit-walk"])
+def test_engine_matches_the_from_scratch_oracle(monkeypatch, table_cap):
+    """The value and every memo entry, witness lookups included, equal the
+    plain recursion's: an inherited candidate list that dropped a live
+    candidate, or a wrong incremental step, would lower some entry."""
+    monkeypatch.setattr(search, "TABLE_CAP", table_cap)
+    for args in _kernel_inputs():
+        eng, (total, witness, _) = _engine_run(*args)
+        assert eng.chunked == bool(table_cap)
+        oracle = longest_oracle(*args)
+        assert total == oracle(0, 0)
+        assert len(witness) == total
+        assert eng.memo and all(oracle(state, start) == got for (state, start), got in eng.memo.items())
+
+
+@pytest.mark.parametrize("nodes, best_length", [(5, 0), (300, 7)])
+def test_time_budget_stops_the_search(monkeypatch, nodes, best_length):
+    """A fake clock that ticks once per read: the deadline reads tick 0 and
+    each node reads the clock once, so ``max_seconds = N + 0.5`` stops the
+    search where ``max_nodes = N`` does, with the same partial counters.
+    Z/16's first descent is 8 nodes deep, so after 5 nodes no sequence is
+    proven yet; after 300 the longest one is, though not certified."""
+    ring = family_ring("Z/16")
+    args = (ring.mul_rows(), range(ring.order), idempotents(ring))
+    with pytest.raises(BudgetExceeded, match="node budget exhausted") as by_nodes:
+        max_free_sequence(*args, budget=SearchBudget(max_nodes=nodes))
+    ticks = itertools.count()
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
+    with pytest.raises(BudgetExceeded, match="^time budget exhausted$") as by_time:
+        max_free_sequence(*args, budget=SearchBudget(max_seconds=nodes + 0.5))
+    for err in (by_nodes.value, by_time.value):
+        assert (err.nodes, err.best_length, err.exact) == (nodes, best_length, False)
