@@ -14,7 +14,7 @@ from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
                      maximal_ideals, power_chain)
 from .rings import (FiniteRing, MixedRadix, idempotents, make_gf, make_poly_quotient,
                     make_zmod, prime_factors, units)
-from .search import SearchBudget, max_free_sequence
+from .search import SearchBudget, longest_free_length
 from .sequences import Sequence, is_idempotent_product_free
 from .groups import davenport, invariant_factors, unit_group_view
 
@@ -143,25 +143,21 @@ def construct_extremal(ring: FiniteRing, *,
 
 # exact search ----------------------------------------------------------------
 
-def _exact_search(ring, *, cap=EB_SEARCH_CAP, budget=None):
+def exact_eb(ring: FiniteRing, *, cap: int = EB_SEARCH_CAP,
+             budget: SearchBudget | None = None) -> int:
+    """Smallest length forcing an idempotent subsequence product: one more
+    than the longest idempotent-product-free sequence, which an exhaustive
+    sweep over the distinct product sets of free sequences finds
+    (``search.longest_free_length``). Exact, with exhaustion certified by the
+    completed sweep rather than any formula. Rings above ``cap`` elements
+    need a budget, which counts the product sets expanded."""
     if ring.order > cap and budget is None:
         raise BudgetExceeded(
             f"ring order {ring.order} exceeds the exact search cap {cap}; "
             "pass a node or time budget to override")
-    rows = ring.mul_rows()
-    if rows is None:
+    if ring._mul_t is None:
         raise ValueError("exact search needs materialized operation tables")
-    length, wit = max_free_sequence(rows, range(ring.order), idempotents(ring), budget=budget)
-    return length + 1, Sequence.make(ring, wit)
-
-
-def exact_eb(ring: FiniteRing, *, cap: int = EB_SEARCH_CAP,
-             budget: SearchBudget | None = None) -> int:
-    """Smallest length forcing an idempotent subsequence product, by
-    exhaustive canonical search; exact, with exhaustion certified by the
-    completed search rather than any formula."""
-    value, _ = _exact_search(ring, cap=cap, budget=budget)
-    return value
+    return longest_free_length(ring._mul_t, range(ring.order), idempotents(ring), budget=budget) + 1
 
 
 # equality-case certificates ---------------------------------------------------

@@ -1,14 +1,34 @@
-"""Exhaustive longest-free-sequence search shared by the Davenport and
-idempotent-product solvers.
+"""Exhaustive longest-free-sequence searches shared by the Davenport and
+idempotent-product solvers. A sequence is free when its product set, the
+products of its nonempty subsequences, avoids the forbidden elements. A term
+a added to a sequence with product set S gives the product set
+S·a = S | {a} | {s·a : s in S}.
 
-Sequences are enumerated as canonical multisets: candidate elements in
-nondecreasing order, so every multiset is visited once. The DFS state is the
-product set of the chosen prefix, held as a Python-int bitmask, together with
-the minimum candidate position still allowed; a branch dies as soon as its
-product set meets the forbidden mask, which is exact because product sets only
-grow. States are memoized with an LRU-capped table mapping (mask, position) to
-the best extension depth proven from there. The DFS runs on an explicit stack,
-so sequence length is not bounded by the interpreter's recursion limit.
+The level sweep, ``longest_free_length``, serves the exact EB value. Whether
+a sequence is free depends only on its product set S, so its states are the
+distinct S alone, with no start position. A free step S -> S·a strictly grows
+S: S·a = S would let a repeat forever, and is refused. So every edge goes up
+in popcount, and one ascending sweep over popcount levels finishes each
+state's longest path from the empty set before the state is expanded; the
+answer is the largest such distance. A level is expanded in numpy, in blocks:
+states are rows of little-endian uint64 words, S·a ORs bit(a) with one
+byte-chunk table entry per nonzero byte of S (entry ``[c, b, a]`` covers s and
+s·a for the elements s that byte value b marks in byte c), free children wait
+at their popcount level, and a level is deduplicated, keeping each state's
+longest distance, when it comes up. The count of states expanded does not
+depend on the labelling. It gives no witness, and it cannot stop early at a
+known ceiling.
+
+The witness DFS, ``max_free_sequence``, serves witnesses, and D(U(R)) under a
+theorem's ceiling. Sequences are enumerated as canonical multisets: candidate
+elements in nondecreasing order, so every multiset is visited once. The DFS
+state is the product set of the chosen prefix, held as a Python-int bitmask,
+together with the minimum candidate position still allowed; a branch dies as
+soon as its product set meets the forbidden mask, which is exact because
+product sets only grow. States are memoized with an LRU-capped table mapping
+(mask, position) to the best extension depth proven from there. The DFS runs
+on an explicit stack, so sequence length is not bounded by the interpreter's
+recursion limit.
 
 A caller that knows no free sequence is longer than some ``ceiling`` may pass
 it: a state whose prefix plus proven extension reaches the ceiling stops
@@ -16,19 +36,18 @@ expanding. Its memo entry is still exact, since no extension can be longer,
 and the run is a prefix of the uncapped DFS, so it expands no more nodes and
 reconstructs the same witness.
 
-The product step is S·a = S | {a} | {s·a : s in S}. A node builds its free
-children eagerly, as (position, S·a) pairs, from its parent's free pairs at
-positions from its own on; a top-level call starts from every candidate at or
-after ``start``, as a child of the empty set. Dropping the parent's forbidden
-pairs is exact: S ⊆ S' implies S·a ⊆ S'·a, so a step that meets the
-forbidden mask at S meets it at S' too, and the plain DFS would have skipped
-it with no memo lookup. The step is incremental: with Δ = S' & ~S,
-S'·a = S' | S·a | Δ·a, since s·a for s in S is already in S·a, so it reads the
-tables at Δ only. Δ·a ORs one table entry per nonzero byte of Δ: entry
-``256*j + b`` of a's table is the mask of s·a over s = 8j + k for the set bits
-k of b. Above ``TABLE_CAP`` entries the tables go by element instead, and the
-step walks the set bits of Δ. Neither shortcut changes a product set, so
-nodes, memo traffic, counters and witnesses are those of the from-scratch
+A DFS node builds its free children eagerly, as (position, S·a) pairs, from
+its parent's free pairs at positions from its own on; a top-level call starts
+from every candidate at or after ``start``, as a child of the empty set.
+Dropping the parent's forbidden pairs is exact: S ⊆ S' implies S·a ⊆ S'·a, so
+a step that meets the forbidden mask at S meets it at S' too, and the plain
+DFS would have skipped it with no memo lookup. The step is incremental: with
+Δ = S' & ~S, S'·a = S' | S·a | Δ·a, since s·a for s in S is already in S·a,
+so it reads the tables at Δ only. Δ·a ORs one table entry per nonzero byte of Δ:
+entry ``256*j + b`` of a's table is the mask of s·a over s = 8j + k for the
+set bits k of b. Above ``TABLE_CAP`` entries the tables go by element instead,
+and the step walks the set bits of Δ. Neither shortcut changes a product set,
+so nodes, memo traffic, counters and witnesses are those of the from-scratch
 step.
 """
 
@@ -38,12 +57,29 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetExceeded, InternalConsistencyError
 
 MEMO_CAP = 1 << 20
 # Most byte-chunk table entries (candidates x chunks x 256) built eagerly:
-# covers every full search of order up to 128, at a few tens of MiB.
+# covers every full search of order up to 128, at a few tens of MiB. The
+# sweep counts uint64 words and builds its tables a block of candidates at a
+# time within the same cap, 8 MiB, down to one candidate; one candidate's
+# table passes the cap above 2048 elements.
 TABLE_CAP = 1 << 20
+# Most products of one sweep block, in words (128 KiB). On the benchmark's
+# exact-eb rings this quarter of rings.BLOCK ran as fast as rings.BLOCK and
+# peaked about 0.6 MiB lower, its temporaries staying small.
+SWEEP_BLOCK = 1 << 14
+# The sweep's product sets are rows of little-endian words, so byte c of a
+# row's uint8 view holds the elements 8c .. 8c+7 on any host.
+_WORD = np.dtype("<u8")
+# Set bits of each byte value; np.bitwise_count needs numpy 2.0.
+_POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_BYTE_SUM = np.uint64(0x0101010101010101)  # top byte of w * _BYTE_SUM is w's byte sum
+# Odd multiplier that folds a multi-word product set into one sort key.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 @dataclass(frozen=True)
@@ -189,3 +225,154 @@ def max_free_sequence(mul_rows, candidates, forbidden, *, budget: SearchBudget |
     eng = _Engine(mul_rows, sorted(candidates), forbidden, budget, ceiling)
     total = eng.longest(0, 0, 0)
     return total, eng.witness(total)
+
+
+# level sweep ------------------------------------------------------------------
+
+def _bit_rows(elements, words: int):
+    """One row of ``words`` words per element, holding that element's bit."""
+    elements = np.asarray(elements, dtype=np.int64).ravel()
+    rows = np.zeros((len(elements), words), dtype=_WORD)
+    rows[np.arange(len(elements)), elements >> 6] = np.left_shift(
+        np.uint64(1), (elements & 63).astype(np.uint64))
+    return rows
+
+
+def _step_tables(mul, cands, words: int):
+    """Byte-chunk tables of S -> S·a for the candidates ``cands``: entry
+    ``[c, b, i]`` is the mask of {s, s·a_i} over s = 8c + k for the set bits k
+    of b, so S·a_i is bit(a_i) ORed with the entries of S's bytes."""
+    n, width = len(mul), len(cands)
+    chunks = -(-n // 8)
+    elem = np.zeros((chunks * 8, width, words), dtype=_WORD)
+    elem[:n] = (_bit_rows(np.arange(n), words)[:, None]
+                | _bit_rows(mul[:, cands], words).reshape(n, width, words))
+    elem = elem.reshape(chunks, 8, width, words)
+    tab = np.zeros((chunks, 256, width, words), dtype=_WORD)
+    for k in range(8):  # entries 2^k .. 2^(k+1) - 1 add element 8c + k to entries 0 .. 2^k - 1
+        np.bitwise_or(tab[:, :1 << k], elem[:, k, None], out=tab[:, 1 << k:2 << k])
+    return tab
+
+
+def _popcounts(rows):
+    """Set bits in each row of words: an 8-bit lookup over the bytes, summed
+    within each word by one multiply, since a word holds at most 64."""
+    per_word = (_POP8[rows.view(np.uint8)].view(_WORD) * _BYTE_SUM) >> np.uint64(56)
+    return per_word.sum(axis=1).astype(np.uint16)
+
+
+def _changes(rows):
+    """Whether each row after the first differs from the one before it."""
+    out = rows[1:, 0] != rows[:-1, 0]
+    for j in range(1, rows.shape[1]):
+        out |= rows[1:, j] != rows[:-1, j]
+    return out
+
+
+def _dedup(parts):
+    """The distinct product sets among ``parts`` of (states, distances), each
+    with its largest distance. Rows are sorted by one word that folds theirs
+    together, which is the row itself for a single word; if distinct rows
+    share a fold, equal rows may sit apart, and the rows are sorted instead."""
+    states = np.concatenate([s for s, _ in parts])
+    dists = np.concatenate([d for _, d in parts])
+    key = states[:, 0]
+    for j in range(1, states.shape[1]):
+        key = key * _MIX ^ states[:, j]
+    order = np.argsort(key)
+    key, states = key[order], states[order]
+    fresh = np.ones(len(states), dtype=bool)
+    fresh[1:] = _changes(states)
+    if (key[1:] == key[:-1])[fresh[1:]].any():
+        resort = np.lexsort(states.T[::-1])
+        order, states = order[resort], states[resort]
+        fresh[1:] = _changes(states)
+    return states[fresh], np.maximum.reduceat(dists[order], np.flatnonzero(fresh))
+
+
+def longest_free_length(mul_rows, candidates, forbidden, *,
+                        budget: SearchBudget | None = None) -> int:
+    """Length of the longest sequence of ``candidates`` whose product set
+    avoids ``forbidden``, by a sweep over distinct product sets in popcount
+    order (see the module docstring). ``mul_rows`` is the multiplication
+    table, as rows or a 2-D array.
+
+    ``budget.max_nodes`` counts the product sets expanded, the empty one
+    included; ``max_seconds`` is checked before each block of them. On
+    exhaustion, ``BudgetExceeded.best_length`` is the longest free sequence
+    found so far.
+    """
+    mul = np.asarray(mul_rows, dtype=np.int64)
+    n = len(mul)
+    words, chunks = -(-n // 64), -(-n // 8)
+    forbidden = sorted({int(e) for e in forbidden})
+    forbidden_row = np.bitwise_or.reduce(_bit_rows(forbidden, words), axis=0)
+    # a forbidden candidate is never a term of a free sequence
+    cands = np.setdiff1d(np.asarray(list(candidates), dtype=np.int64), forbidden)
+    width = max(1, TABLE_CAP // (chunks * 256 * words))
+    blocks = [cands[lo:lo + width] for lo in range(0, len(cands), width)]
+    step = max(1, SWEEP_BLOCK // (max(1, min(width, len(cands))) * words))
+
+    def tables_of(block):
+        return _step_tables(mul, block, words), _bit_rows(block, words)
+
+    # a single block's tables are built once, several blocks' per block of states
+    tables = [tables_of(blocks[0])] if len(blocks) == 1 else None
+    max_nodes = budget.max_nodes if budget else None
+    deadline = (time.monotonic() + budget.max_seconds
+                if budget and budget.max_seconds is not None else None)
+
+    # pending[p]: (states, distances) found at popcount p, deduplicated when
+    # they outgrow twice what the last deduplication kept
+    pending = {0: [(np.zeros((1, words), dtype=_WORD), np.zeros(1, dtype=np.int64))]}
+    held, kept = {0: 1}, {}
+    best = nodes = 0
+
+    def expand(level, states, dists):
+        nonlocal best
+        nbytes = states.view(np.uint8)[:, :chunks]
+        used = np.flatnonzero(nbytes.any(axis=0))
+        for tab, abits in tables or map(tables_of, blocks):
+            prods = np.repeat(abits[None], len(states), axis=0)
+            for c in used:
+                prods |= tab[c][nbytes[:, c]]
+            hit = np.zeros(prods.shape[:2], dtype=_WORD)
+            for j in np.flatnonzero(forbidden_row):
+                hit |= prods[:, :, j] & forbidden_row[j]
+            free = np.flatnonzero(hit == 0)
+            if not len(free):
+                continue
+            kids = prods.reshape(-1, words)[free]
+            kid_dists = dists[free // prods.shape[1]] + 1
+            best = max(best, int(kid_dists.max()))
+            pops = _popcounts(kids)
+            if (pops == level).any():  # S·a == S: closed under ·a, so no power of a is forbidden
+                raise ValueError("no free sequence is maximal: the forbidden "
+                                 "set holds no power of a candidate")
+            order = np.argsort(pops, kind="stable")
+            pops, kids, kid_dists = pops[order], kids[order], kid_dists[order]
+            cuts = [0, *(np.flatnonzero(pops[1:] != pops[:-1]) + 1), len(pops)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                p = int(pops[lo])
+                pending.setdefault(p, []).append((kids[lo:hi], kid_dists[lo:hi]))
+                held[p] = held.get(p, 0) + hi - lo
+                if held[p] > 2 * kept.get(p, 0) + SWEEP_BLOCK:
+                    pending[p] = [_dedup(pending[p])]
+                    held[p] = kept[p] = len(pending[p][0][0])
+
+    for level in range(n + 1):
+        if level not in pending:
+            continue
+        states, dists = _dedup(pending.pop(level))
+        for lo in range(0, len(states), step):
+            block, block_dists = states[lo:lo + step], dists[lo:lo + step]
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded("time budget exhausted", best, nodes)
+            over = max_nodes is not None and nodes + len(block) > max_nodes
+            if over:
+                block, block_dists = block[:max_nodes - nodes], block_dists[:max_nodes - nodes]
+            expand(level, block, block_dists)
+            nodes += len(block)
+            if over:
+                raise BudgetExceeded("node budget exhausted", best, nodes)
+    return best

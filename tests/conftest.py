@@ -6,13 +6,15 @@ profile, so every run draws the same examples."""
 
 from __future__ import annotations
 
+import math
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from ebring import AxiomViolation, build_ring, make_from_table
+from ebring import (AxiomViolation, Sequence, build_ring, idempotents, make_from_table,
+                    max_free_sequence)
 
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None,
                           max_examples=20)
@@ -85,6 +87,32 @@ def longest_oracle(mul_rows, candidates, forbidden):
     return longest
 
 
+def dfs_exact_search(ring, budget=None):
+    """The exact EB constant and a longest free sequence from the witness DFS
+    (``max_free_sequence``), every element a candidate and every idempotent
+    forbidden: the reference for ``exact_eb``'s level sweep."""
+    length, witness = max_free_sequence(ring.mul_rows(), range(ring.order), idempotents(ring),
+                                        budget=budget)
+    return length + 1, Sequence.make(ring, witness)
+
+
+def free_product_sets(mul_rows, candidates, forbidden):
+    """Every product set of a sequence of ``candidates`` that avoids
+    ``forbidden``, the empty one included, as frozensets: a plain graph search
+    from the empty set that recomputes each step S·a from ``mul_rows``."""
+    cands = sorted({int(a) for a in candidates})
+    forbidden = {int(e) for e in forbidden}
+    seen, todo = {frozenset()}, [frozenset()]
+    while todo:
+        state = todo.pop()
+        for a in cands:
+            nxt = state | {a} | {int(mul_rows[s][a]) for s in state}
+            if not nxt & forbidden and nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
+
+
 def relabel(ring, perm):
     """The same ring with element index i renamed ``perm[i]``."""
     n, perm = ring.order, np.asarray(perm)
@@ -138,6 +166,14 @@ FAMILY_SPECS = (
     + ["GF(2)[x]/(x^2)", "GF(2)[x]/(x^3)", "GF(2)[x]/(x^2+x)",
        "GF(2)[x]/(x^3+x^2)", "GF(3)[x]/(x^2)", "Z/4 x GF(3)"]
 )
+
+# every product of one to three cyclic groups with at most 32 elements
+SMALL_GROUPS = [spec for r in (1, 2, 3) for spec in combinations_with_replacement(range(2, 33), r)
+                if math.prod(spec) <= 32]
+
+# rings whose relabellings (seed s relabels RELABELLED[s % 10]) the tests search
+RELABELLED = ["Z/16", "Z/24", "Z/25", "Z/27", "Z/32", "Z/36", "GF(2)[x]/(x^4)",
+              "GF(3)[x]/(x^2)", "Z/4 x GF(5)", "GF(2)[x]/(x^3) x Z/9"]
 
 _family_cache: dict[str, object] = {}
 

@@ -10,9 +10,8 @@ from ebring import (ALL_INDICES_ONE, BOTH, BudgetExceeded, LOCAL,
                     local_case_certificate, make_from_table, make_gf,
                     make_poly_quotient, make_zmod, report,
                     squarefree_case_certificate, units)
-from ebring.erdos_burgess import _exact_search
 
-from conftest import family_ring, is_free_sequence, naive_eb, relabel
+from conftest import dfs_exact_search, family_ring, is_free_sequence, naive_eb, relabel
 
 # frozen from the naive subset-product oracle (see conftest.naive_eb)
 ORACLE_VALUES = {
@@ -38,7 +37,7 @@ def test_truncated_cubic_over_gf2():
 def test_search_witness_is_free_and_maximal():
     for spec in ("Z/4", "Z/12", "GF(5)"):
         ring = family_ring(spec)
-        value, witness = _exact_search(ring)
+        value, witness = dfs_exact_search(ring)
         assert len(witness) == value - 1
         assert is_idempotent_product_free(witness)
 
@@ -141,7 +140,7 @@ def test_exact_search_is_invariant_under_relabelling(spec_and_perm):
     the constant, and the witness stays free in the renamed ring."""
     spec, perm = spec_and_perm
     ring = relabel(family_ring(spec), perm)
-    value, witness = _exact_search(ring)
+    value, witness = dfs_exact_search(ring)
     assert value == exact_eb(family_ring(spec))
     assert len(witness.terms) == value - 1
     assert is_free_sequence(ring, witness.terms)
@@ -300,7 +299,7 @@ def test_ghw_bound_against_idempotent_count():
 
 def test_search_matches_brute_force_oracle():
     ring = family_ring("Z/12")
-    value, wit = _exact_search(ring)
+    value, wit = dfs_exact_search(ring)
     assert value == naive_eb(ring)
     assert len(wit) == value - 1
     assert is_free_sequence(ring, wit.terms)

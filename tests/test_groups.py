@@ -10,7 +10,8 @@ from ebring import (AbelianGroupView, BudgetExceeded, InternalConsistencyError, 
                     make_gf, make_zmod, search, synthetic_group, unit_group_view)
 from ebring.sequences import Sequence, product_set
 
-from conftest import FAMILY_SPECS, family_ring, naive_davenport, relabel, subset_products
+from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, family_ring, naive_davenport,
+                      relabel, subset_products)
 
 
 def _order(g, a):
@@ -234,10 +235,6 @@ def _assert_theorem_matches_search(view):
     assert (result.value, result.witness.terms) == (value, witness), view.label
 
 
-SMALL_GROUPS = [spec for r in (1, 2, 3) for spec in combinations_with_replacement(range(2, 33), r)
-                if math.prod(spec) <= 32]
-
-
 @pytest.mark.parametrize("spec", SMALL_GROUPS, ids=lambda s: "x".join(map(str, s)))
 def test_theorem_matches_search_on_small_groups(spec):
     _assert_theorem_matches_search(synthetic_group(spec))
@@ -246,10 +243,6 @@ def test_theorem_matches_search_on_small_groups(spec):
 def test_theorem_matches_search_on_family_unit_groups():
     for spec in FAMILY_SPECS:
         _assert_theorem_matches_search(unit_group_view(family_ring(spec)))
-
-
-RELABELLED = ["Z/16", "Z/24", "Z/25", "Z/27", "Z/32", "Z/36", "GF(2)[x]/(x^4)",
-              "GF(3)[x]/(x^2)", "Z/4 x GF(5)", "GF(2)[x]/(x^3) x Z/9"]
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,12 +1,17 @@
 import itertools
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from ebring import BudgetExceeded, SearchBudget, davenport, idempotents, max_free_sequence, synthetic_group
+from ebring import (BudgetExceeded, SearchBudget, davenport, exact_eb, idempotents,
+                    max_free_sequence, synthetic_group)
 from ebring import search
-from ebring.erdos_burgess import _exact_search
+from ebring.cli import run
 
-from conftest import FAMILY_SPECS, family_ring, longest_oracle
+from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, dfs_exact_search, family_ring,
+                      free_product_sets, longest_oracle, relabel)
 
 
 def _group_input(view):
@@ -33,6 +38,8 @@ def test_unreachable_forbidden_set_is_refused():
     rows = [[(i + j) % 3 for j in range(3)] for i in range(3)]
     with pytest.raises(ValueError, match="no free sequence is maximal"):
         max_free_sequence(rows, [1], set())
+    with pytest.raises(ValueError, match="no free sequence is maximal"):
+        search.longest_free_length(rows, [1], set())
 
 
 def _group_search(spec):
@@ -46,8 +53,8 @@ def _group_search(spec):
 # each search returns its witness terms; davenport on a group of rank two
 # cuts the same search at the theorem's ceiling D* - 1
 @pytest.mark.parametrize("search_fn, nodes, witness", [
-    (lambda b: _exact_search(family_ring("Z/16"), budget=b)[1].terms, 677, (2, 2, 2, 3, 3, 3, 5)),
-    (lambda b: _exact_search(family_ring("Z/12"), budget=b)[1].terms, 36, None),
+    (lambda b: dfs_exact_search(family_ring("Z/16"), budget=b)[1].terms, 677, (2, 2, 2, 3, 3, 3, 5)),
+    (lambda b: dfs_exact_search(family_ring("Z/12"), budget=b)[1].terms, 36, None),
     (_group_search([4, 4]), 1375, (1, 1, 1, 4, 4, 4)),
     (_group_search([3, 3]), 98, (1, 1, 3, 3)),
     (lambda b: davenport(synthetic_group([4, 4]), budget=b).witness.terms, 7, (1, 1, 1, 4, 4, 4)),
@@ -129,3 +136,122 @@ def test_time_budget_stops_the_search(monkeypatch, nodes, best_length):
         max_free_sequence(*args, budget=SearchBudget(max_seconds=nodes + 0.5))
     for err in (by_nodes.value, by_time.value):
         assert (err.nodes, err.best_length, err.exact) == (nodes, best_length, False)
+
+
+# level sweep ------------------------------------------------------------------
+
+# Distinct product sets the exact-mode sweep expands, the empty one included.
+SWEEP_STATES = {
+    "Z/12": 30, "Z/13": 270, "Z/16": 356,
+    # the rings of the benchmark's exact-eb workload
+    "Z/40": 19474, "Z/36": 14882, "Z/27": 17608, "GF(3)[x]/(x^3)": 16004, "Z/2 x Z/16": 8076,
+    # the other rings of RELABELLED but its last, on which the DFS takes minutes
+    "Z/24": 569, "Z/25": 10938, "Z/32": 30383, "GF(2)[x]/(x^4)": 524, "GF(3)[x]/(x^2)": 40,
+    "Z/4 x GF(5)": 395,
+    # 72 elements, so two words per product set
+    "Z/9 x GF(2) x GF(2) x GF(2)": 81690, "Z/3 x Z/3 x Z/8": 58175,
+}
+
+
+def _exact_input(ring):
+    return ring.mul_rows(), range(ring.order), idempotents(ring)
+
+
+def _sweep_within(args, states):
+    """The sweep's value with a budget of ``states`` product sets, after
+    checking that one fewer runs out, having expanded that many."""
+    with pytest.raises(BudgetExceeded, match="node budget exhausted") as err:
+        search.longest_free_length(*args, budget=SearchBudget(max_nodes=states - 1))
+    assert err.value.nodes == states - 1
+    return search.longest_free_length(*args, budget=SearchBudget(max_nodes=states))
+
+
+@pytest.mark.parametrize("spec, length", [
+    ("Z/12", 3), ("Z/16", 7), ("Z/13", 11), ("Z/40", 7), ("Z/36", 8), ("Z/27", 19),
+    ("GF(3)[x]/(x^3)", 9), ("Z/2 x Z/16", 7)])
+def test_sweep_state_count_is_pinned_by_the_budget(spec, length):
+    assert _sweep_within(_exact_input(family_ring(spec)), SWEEP_STATES[spec]) == length
+
+
+@pytest.mark.parametrize("table_cap, block", [(search.TABLE_CAP, search.SWEEP_BLOCK),
+                                               (0, search.SWEEP_BLOCK), (search.TABLE_CAP, 1)],
+                         ids=["one-block", "per-candidate", "per-state"])
+def test_sweep_matches_the_dfs_on_the_family(monkeypatch, table_cap, block):
+    """Same value as the DFS; the sweep expands exactly the product sets of
+    free sequences, so never more states than the DFS has nodes. With no
+    table room, the tables go one candidate at a time; with a block of one
+    entry, the states go one at a time and each level's pending product sets
+    are deduplicated as they arrive."""
+    monkeypatch.setattr(search, "TABLE_CAP", table_cap)
+    monkeypatch.setattr(search, "SWEEP_BLOCK", block)
+    for spec in FAMILY_SPECS:
+        args = _exact_input(family_ring(spec))
+        eng, (total, _, nodes) = _engine_run(*args)
+        states = len(free_product_sets(*args))
+        assert states <= nodes, spec
+        assert _sweep_within(args, states) == total, spec
+
+
+@pytest.mark.parametrize("seed", [s for s in range(20) if RELABELLED[s % len(RELABELLED)] in SWEEP_STATES])
+def test_sweep_matches_the_dfs_under_relabelling(seed):
+    spec = RELABELLED[seed % len(RELABELLED)]
+    ring = family_ring(spec)
+    args = _exact_input(relabel(ring, random.Random(seed).sample(range(ring.order), ring.order)))
+    assert _sweep_within(args, SWEEP_STATES[spec]) == max_free_sequence(*args)[0]
+
+
+@pytest.mark.parametrize("spec", ["Z/9 x GF(2) x GF(2) x GF(2)", "Z/3 x Z/3 x Z/8"])
+def test_sweep_matches_the_dfs_on_two_word_rings(monkeypatch, spec):
+    """A zero fold makes every row's sort key its last word, so distinct
+    product sets share keys and deduplication sorts the rows themselves."""
+    args = _exact_input(family_ring(spec))
+    total = max_free_sequence(*args)[0]
+    assert _sweep_within(args, SWEEP_STATES[spec]) == total
+    monkeypatch.setattr(search, "_MIX", np.uint64(0))
+    assert search.longest_free_length(*args, budget=SearchBudget(max_nodes=SWEEP_STATES[spec])) == total
+
+
+def test_sweep_in_group_mode_gives_the_davenport_constant():
+    for spec in SMALL_GROUPS:
+        view = synthetic_group(spec)
+        e = view.elements.index(view.identity)
+        length = search.longest_free_length(view.table(), [i for i in range(view.order) if i != e], {e})
+        assert length == davenport(view).value - 1, spec
+
+
+@pytest.mark.parametrize("levels, nodes, best_length", [(0, 0, 0), (1, 1, 1), (4, 93, 4)])
+def test_time_budget_stops_the_sweep(monkeypatch, levels, nodes, best_length):
+    """The fake clock of the test above. The sweep reads it once before each
+    block of product sets, and each popcount level of Z/16 is one block, so
+    ``max_seconds = k + 0.5`` stops after the first k levels, where a node
+    budget of their size does. The longest sequence found by then is as
+    long as the deepest level expanded, plus one for its children."""
+    ring = family_ring("Z/16")
+    args = _exact_input(ring)
+    with pytest.raises(BudgetExceeded, match="node budget exhausted") as by_nodes:
+        search.longest_free_length(*args, budget=SearchBudget(max_nodes=nodes))
+    ticks = itertools.count()
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
+    with pytest.raises(BudgetExceeded, match="^time budget exhausted$") as by_time:
+        search.longest_free_length(*args, budget=SearchBudget(max_seconds=levels + 0.5))
+    for err in (by_nodes.value, by_time.value):
+        assert (err.nodes, err.best_length, err.exact) == (nodes, best_length, False)
+
+
+def test_large_ring_builds_its_tables_a_block_at_a_time(capsys, monkeypatch):
+    """256 elements: the step tables of every candidate would take 64 MiB;
+    the sweep holds those of one block of candidates, at most TABLE_CAP words,
+    and the next block's while it builds them."""
+    ring = family_ring("Z/2 x Z/128")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            exact_eb(ring, budget=SearchBudget(max_nodes=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.nodes, err.value.best_length) == (10, 2)
+    assert peak < 3 * search.TABLE_CAP * 8
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    assert run(["invariants", "Z/2 x Z/128", "--exact", "--budget", "10"]) == 3
+    capsys.readouterr()
