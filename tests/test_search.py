@@ -2,7 +2,6 @@ import itertools
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from ebring import (BudgetExceeded, SearchBudget, davenport, exact_eb, idempotents,
@@ -201,14 +200,9 @@ def test_sweep_matches_the_dfs_under_relabelling(seed):
 
 
 @pytest.mark.parametrize("spec", ["Z/9 x GF(2) x GF(2) x GF(2)", "Z/3 x Z/3 x Z/8"])
-def test_sweep_matches_the_dfs_on_two_word_rings(monkeypatch, spec):
-    """A zero fold makes every row's sort key its last word, so distinct
-    product sets share keys and deduplication sorts the rows themselves."""
+def test_sweep_matches_the_dfs_on_two_word_rings(spec):
     args = _exact_input(family_ring(spec))
-    total = max_free_sequence(*args)[0]
-    assert _sweep_within(args, SWEEP_STATES[spec]) == total
-    monkeypatch.setattr(search, "_MIX", np.uint64(0))
-    assert search.longest_free_length(*args, budget=SearchBudget(max_nodes=SWEEP_STATES[spec])) == total
+    assert _sweep_within(args, SWEEP_STATES[spec]) == max_free_sequence(*args)[0]
 
 
 def test_sweep_in_group_mode_gives_the_davenport_constant():
@@ -238,20 +232,42 @@ def test_time_budget_stops_the_sweep(monkeypatch, levels, nodes, best_length):
         assert (err.nodes, err.best_length, err.exact) == (nodes, best_length, False)
 
 
+def test_time_budget_counts_what_the_last_table_block_took(monkeypatch):
+    """One candidate per table block and one product set per state block:
+    Z/16's 14 free candidates make 14 table blocks, each reading the fake
+    clock once per product set of the level. Level 0 is the empty set and
+    level 1 the 14 singletons, so a stop in level 1's last table block has
+    expanded the empty set and the singletons that block has taken; a stop
+    in an earlier table block, the empty set alone."""
+    monkeypatch.setattr(search, "TABLE_CAP", 0)
+    monkeypatch.setattr(search, "SWEEP_BLOCK", 1)
+    args = _exact_input(family_ring("Z/16"))
+    for reads, nodes in [(14 + 5, 1), (14 + 13 * 14 + 3, 1 + 3)]:
+        monkeypatch.setattr(search.time, "monotonic", itertools.count().__next__)
+        with pytest.raises(BudgetExceeded, match="^time budget exhausted$") as err:
+            search.longest_free_length(*args, budget=SearchBudget(max_seconds=reads + 0.5))
+        assert err.value.nodes == nodes
+
+
 def test_large_ring_builds_its_tables_a_block_at_a_time(capsys, monkeypatch):
     """256 elements: the step tables of every candidate would take 64 MiB;
     the sweep holds those of one block of candidates, at most TABLE_CAP words,
-    and the next block's while it builds them."""
+    and the next block's while it builds them. Through the CLI, D(U(R)) of
+    C2 x C32 takes 34 nodes of the budget's 40 and finishes, so the budget
+    runs out in the exact sweep, after 40 product sets."""
     ring = family_ring("Z/2 x Z/128")
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
     tracemalloc.start()
     try:
+        code = run(["invariants", "Z/2 x Z/128", "--exact", "--budget", "40"])
+        cli = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         with pytest.raises(BudgetExceeded) as err:
             exact_eb(ring, budget=SearchBudget(max_nodes=10))
-        peak = tracemalloc.get_traced_memory()[1]
+        direct = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (err.value.nodes, err.value.best_length) == (10, 2)
-    assert peak < 3 * search.TABLE_CAP * 8
-    monkeypatch.delenv("EBRING_BUDGET", raising=False)
-    assert run(["invariants", "Z/2 x Z/128", "--exact", "--budget", "10"]) == 3
-    capsys.readouterr()
+    assert code == 3
+    assert capsys.readouterr().err.endswith("(best free length proven: 2, nodes expanded: 40)\n")
+    assert max(direct, cli) < 3 * search.TABLE_CAP * 8
