@@ -18,6 +18,7 @@ Table ring file: a JSON document with fields ``n`` (integer), ``add`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -456,7 +457,9 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` and kept for the process."""
     top = argparse.ArgumentParser(prog="ebring",
                                   description="Exact invariants of finite commutative rings")
     sub = top.add_subparsers(dest="command", required=True)

@@ -157,7 +157,11 @@ def exact_eb(ring: FiniteRing, *, cap: int = EB_SEARCH_CAP,
             "pass a node or time budget to override")
     if ring._mul_t is None:
         raise ValueError("exact search needs materialized operation tables")
-    return longest_free_length(ring._mul_t, range(ring.order), idempotents(ring), budget=budget) + 1
+    try:
+        return longest_free_length(ring._mul_t, range(ring.order), idempotents(ring),
+                                   budget=budget) + 1
+    except BudgetExceeded as exc:
+        raise exc.within(f"exact sweep of {ring.label}") from None
 
 
 # equality-case certificates ---------------------------------------------------

@@ -39,6 +39,10 @@ class BudgetExceeded(RuntimeError):
         self.exact = False
         super().__init__(message)
 
+    def within(self, search: str) -> BudgetExceeded:
+        """The same exhaustion, its message naming the search that ran out."""
+        return BudgetExceeded(f"{search}: {self}", self.best_length, self.nodes)
+
 
 class InternalConsistencyError(RuntimeError):
     """A state certified impossible was reached; indicates a bug, not bad input."""

@@ -241,8 +241,11 @@ def davenport(view: AbelianGroupView, *, cap: int = DAVENPORT_CAP,
         theorem = len(factors) <= 2 or _prime_power(view.order) is not None
         e = view.elements.index(view.identity)
         candidates = [i for i in range(view.order) if i != e]
-        length, wit_pos = max_free_sequence(view.table().tolist(), candidates, {e}, budget=budget,
-                                            ceiling=value - 1 if theorem else None)
+        try:
+            length, wit_pos = max_free_sequence(view.table().tolist(), candidates, {e},
+                                                budget=budget, ceiling=value - 1 if theorem else None)
+        except BudgetExceeded as exc:
+            raise exc.within(f"Davenport search of {view.label}") from None
         if theorem and length != value - 1:
             raise InternalConsistencyError(
                 f"search found D = {length + 1} in {view.label}, against the theorem's {value}")

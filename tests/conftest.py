@@ -100,17 +100,55 @@ def free_product_sets(mul_rows, candidates, forbidden):
     """Every product set of a sequence of ``candidates`` that avoids
     ``forbidden``, the empty one included, as frozensets: a plain graph search
     from the empty set that recomputes each step S·a from ``mul_rows``."""
+    rows = [[int(x) for x in row] for row in mul_rows]
     cands = sorted({int(a) for a in candidates})
     forbidden = {int(e) for e in forbidden}
     seen, todo = {frozenset()}, [frozenset()]
     while todo:
         state = todo.pop()
         for a in cands:
-            nxt = state | {a} | {int(mul_rows[s][a]) for s in state}
+            nxt = state | {a} | {rows[s][a] for s in state}
             if not nxt & forbidden and nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
     return seen
+
+
+def sweep_oracle(mul_rows, candidates, forbidden):
+    """Reference for the states of ``search.longest_free_length``: every free
+    product set, as a bitmask, mapped to (the longest free sequence with that
+    product set, its start). Free candidates take positions by |<a>|, the
+    size of {a, a^2, ...}, then by label; a start is the least position of a
+    step into the set from a set whose start is no later. Plain Python over
+    popcount levels: every candidate is tried from every set, and each step
+    S·a is recomputed from ``mul_rows``."""
+    rows = [[int(x) for x in row] for row in mul_rows]
+    forbidden_mask = sum(1 << int(e) for e in set(forbidden))
+
+    def cyclic_size(a):
+        powers, x = set(), a
+        while x not in powers:
+            powers.add(x)
+            x = rows[x][a]
+        return len(powers)
+
+    cands = sorted({int(a) for a in candidates if not forbidden_mask >> int(a) & 1},
+                   key=lambda a: (cyclic_size(a), a))
+    found, levels = {}, {0: {0: (0, 0)}}
+    for level in range(len(rows) + 1):
+        for state, (dist, start) in levels.pop(level, {}).items():
+            found[state] = dist, start
+            for pos, a in enumerate(cands):
+                nxt = state | 1 << a
+                for s in range(state.bit_length()):
+                    if state >> s & 1:
+                        nxt |= 1 << rows[s][a]
+                if nxt & forbidden_mask:
+                    continue
+                bucket = levels.setdefault(bin(nxt).count("1"), {})
+                longest, least = bucket.get(nxt, (0, len(cands)))
+                bucket[nxt] = max(longest, dist + 1), (min(least, pos) if pos >= start else least)
+    return found
 
 
 def relabel(ring, perm):

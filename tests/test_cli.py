@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ebring import SpecParseError, build_ring, parse_group_spec, parse_ring_spec, report, serialize_report
-from ebring.cli import RingSpec, run
+from ebring.cli import RingSpec, _build_parser, run
 
 VALID_SPECS = (
     [f"Z/{n}" for n in range(2, 17)]
@@ -162,6 +162,29 @@ def test_budget_exhaustion_reports_nodes_on_stderr(capsys):
     assert out == ""
     assert "best free length proven: " in err
     assert "nodes expanded: 10)" in err
+
+
+def test_parser_is_built_once_per_process(capsys):
+    assert run(["inspect", "Z/12", "units"]) == 0
+    parser = _build_parser()
+    assert run(["inspect", "Z/12", "idempotents"]) == 0
+    assert _build_parser() is parser
+    assert capsys.readouterr().out == "1,5,7,11\n0,1,4,9\n"
+
+
+@pytest.mark.parametrize("budget, search, best", [
+    (10, "Davenport search of U(Z/2 x Z/128)", 0),
+    (40, "exact sweep of Z/2 x Z/128", 2),
+])
+def test_budget_exhaustion_names_the_search(capsys, monkeypatch, budget, search, best):
+    """Each search gets the whole budget in turn: D(U(R)) of C2 x C32 takes
+    34 nodes, so 10 run out there and 40 in the exact sweep."""
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    assert run(["invariants", "Z/2 x Z/128", "--exact", "--budget", str(budget)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"budget exceeded: {search}: node budget exhausted "
+                   f"(best free length proven: {best}, nodes expanded: {budget})\n")
 
 
 def test_inspect_outputs(capsys):

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ebring import (BudgetExceeded, SearchBudget, davenport, exact_eb, idempotents,
@@ -10,7 +12,7 @@ from ebring import search
 from ebring.cli import run
 
 from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, dfs_exact_search, family_ring,
-                      free_product_sets, longest_oracle, relabel)
+                      free_product_sets, longest_oracle, relabel, sweep_oracle)
 
 
 def _group_input(view):
@@ -39,6 +41,12 @@ def test_unreachable_forbidden_set_is_refused():
         max_free_sequence(rows, [1], set())
     with pytest.raises(ValueError, match="no free sequence is maximal"):
         search.longest_free_length(rows, [1], set())
+
+
+def test_sweep_refuses_more_elements_than_int16_holds():
+    rows = np.broadcast_to(np.zeros(1, dtype=np.int64), (1 << 15, 1 << 15))
+    with pytest.raises(ValueError, match="at most 32767 elements, not 32768"):
+        search.longest_free_length(rows, [1], {0})
 
 
 def _group_search(spec):
@@ -205,11 +213,86 @@ def test_sweep_matches_the_dfs_on_two_word_rings(spec):
     assert _sweep_within(args, SWEEP_STATES[spec]) == max_free_sequence(*args)[0]
 
 
+def _record_states(monkeypatch):
+    """A dict that, from now on, maps each product set deduplication hands
+    out, as a bitmask, to its (distance, start)."""
+    found, dedup = {}, search._dedup
+
+    def recording(parts):
+        states, dists, starts = out = dedup(parts)
+        for row, dist, start in zip(states, dists, starts):
+            found[int.from_bytes(row.tobytes(), "little")] = int(dist), int(start)
+        return out
+
+    monkeypatch.setattr(search, "_dedup", recording)
+    return found
+
+
+@pytest.fixture(scope="module")
+def state_oracles():
+    """The family rings, two relabellings of each, and the groups of up to 16
+    elements, each with its ``sweep_oracle`` states."""
+    inputs = [_group_input(synthetic_group(spec)) for spec in SMALL_GROUPS if math.prod(spec) <= 16]
+    for seed, spec in enumerate(FAMILY_SPECS * 3):
+        ring = family_ring(spec)
+        perm = random.Random(seed).sample(range(ring.order), ring.order)
+        inputs.append(_exact_input(ring if seed < len(FAMILY_SPECS) else relabel(ring, perm)))
+    return [(args, sweep_oracle(*args)) for args in inputs]
+
+
+@pytest.mark.parametrize("table_cap, block", [(search.TABLE_CAP, search.SWEEP_BLOCK),
+                                               (0, search.SWEEP_BLOCK), (search.TABLE_CAP, 1)],
+                         ids=["one-block", "per-candidate", "per-state"])
+def test_sweep_states_carry_the_longest_distance_and_least_start(monkeypatch, state_oracles,
+                                                                 table_cap, block):
+    """Every state's distance and start against the plain oracle: a step that
+    skipped the candidate at a state's start, a merge that kept another
+    start, or a block that gathered too few columns would move some start
+    even where the value and the set of states stay right."""
+    monkeypatch.setattr(search, "TABLE_CAP", table_cap)
+    monkeypatch.setattr(search, "SWEEP_BLOCK", block)
+    found = _record_states(monkeypatch)
+    for args, want in state_oracles:
+        found.clear()
+        assert search.longest_free_length(*args) == max(dist for dist, _ in want.values())
+        assert found == want
+
+
+@pytest.fixture(scope="module")
+def family_oracles():
+    """Each family ring's count of free product sets and its DFS value."""
+    out = {}
+    for spec in FAMILY_SPECS:
+        args = _exact_input(family_ring(spec))
+        out[spec] = len(free_product_sets(*args)), max_free_sequence(*args)[0]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sweep_matches_the_oracles_on_the_relabelled_family(family_oracles, seed):
+    """Candidates with cyclic semigroups of one size go in label order, so a
+    relabelling moves the starts the states carry; the product sets expanded
+    and the value must stay those of the oracles."""
+    rng = random.Random(seed)
+    for spec in FAMILY_SPECS:
+        ring = family_ring(spec)
+        states, length = family_oracles[spec]
+        args = _exact_input(relabel(ring, rng.sample(range(ring.order), ring.order)))
+        assert _sweep_within(args, states) == length, spec
+
+
 def test_sweep_in_group_mode_gives_the_davenport_constant():
+    """Every group's value, and the count of product sets expanded on the
+    groups of up to 20 elements, where the plain oracle lists them quickly
+    (about a second per group at 24 elements)."""
     for spec in SMALL_GROUPS:
         view = synthetic_group(spec)
         e = view.elements.index(view.identity)
-        length = search.longest_free_length(view.table(), [i for i in range(view.order) if i != e], {e})
+        args = view.table(), [i for i in range(view.order) if i != e], {e}
+        if view.order <= 20:
+            length = _sweep_within(args, len(free_product_sets(*args)))
+        else:
+            length = search.longest_free_length(*args)
         assert length == davenport(view).value - 1, spec
 
 
@@ -235,14 +318,16 @@ def test_time_budget_stops_the_sweep(monkeypatch, levels, nodes, best_length):
 def test_time_budget_counts_what_the_last_table_block_took(monkeypatch):
     """One candidate per table block and one product set per state block:
     Z/16's 14 free candidates make 14 table blocks, each reading the fake
-    clock once per product set of the level. Level 0 is the empty set and
-    level 1 the 14 singletons, so a stop in level 1's last table block has
-    expanded the empty set and the singletons that block has taken; a stop
-    in an earlier table block, the empty set alone."""
+    clock once per product set of the level whose start is at most the
+    block's position. Level 0 is the empty set, with start 0, and level 1
+    the 14 singletons, {a} with the start of a, so the k-th table block
+    reads the clock once at level 0 and k times at level 1. A stop in level
+    1's last table block has expanded the empty set and the singletons that
+    block has taken; a stop in an earlier table block, the empty set alone."""
     monkeypatch.setattr(search, "TABLE_CAP", 0)
     monkeypatch.setattr(search, "SWEEP_BLOCK", 1)
     args = _exact_input(family_ring("Z/16"))
-    for reads, nodes in [(14 + 5, 1), (14 + 13 * 14 + 3, 1 + 3)]:
+    for reads, nodes in [(14 + 5, 1), (14 + sum(range(1, 14)) + 3, 1 + 3)]:
         monkeypatch.setattr(search.time, "monotonic", itertools.count().__next__)
         with pytest.raises(BudgetExceeded, match="^time budget exhausted$") as err:
             search.longest_free_length(*args, budget=SearchBudget(max_seconds=reads + 0.5))
