@@ -10,13 +10,10 @@ from .rings import (FiniteRing, TABLE_CAP, VALIDATION_CAP, idempotents,
                     make_poly_quotient, make_product, make_zmod,
                     units, validate_ring)
 from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
-                     ideal_power, ideal_product, ideal_sum, is_valid_ideal,
-                     maximal_ideals, nilradical, power_chain, quotient_ring,
-                     unit_ideal, zero_ideal)
-from .sequences import (Sequence, concat, empty_sequence,
-                        is_idempotent_product_free, product_set,
-                        sequence_product)
-from .search import SearchBudget, max_free_sequence
+                     ideal_power, ideal_product, maximal_ideals, nilradical,
+                     power_chain, quotient_ring, unit_ideal)
+from .sequences import Sequence, is_idempotent_product_free, product_set
+from .search import max_free_sequence
 from .groups import (AbelianGroupView, DavenportResult, davenport,
                      invariant_factors, is_zero_sum_free, synthetic_group,
                      unit_group_view, validate_group)

@@ -29,7 +29,6 @@ from .rings import (FiniteRing, make_from_table, make_gf, make_poly_quotient,
                     make_product, make_zmod, idempotents, units, _prime_power)
 from .ideals import ideal_index, maximal_ideals, nilradical
 from .groups import davenport, synthetic_group
-from .search import SearchBudget
 from .sequences import is_idempotent_product_free
 from .erdos_burgess import (InvariantReport, UNKNOWN, construct_extremal,
                             dedekind_crosscheck_int, dedekind_crosscheck_poly,
@@ -323,13 +322,17 @@ def _trace_doc(trace) -> dict:
 
 # subcommands -------------------------------------------------------------------
 
-def _budget_from(args) -> SearchBudget | None:
+def _budget_from(args) -> int | None:
     nodes, source = args.budget, "--budget"
     if nodes is None and os.environ.get(BUDGET_ENV):
-        nodes, source = int(os.environ[BUDGET_ENV]), BUDGET_ENV
+        text, source = os.environ[BUDGET_ENV], BUDGET_ENV
+        try:
+            nodes = int(text)
+        except ValueError:
+            raise ValueError(f"{source} must be a nonnegative node count, got {text!r}") from None
     if nodes is not None and nodes < 0:
         raise ValueError(f"{source} must be a nonnegative node count, got {nodes}")
-    return SearchBudget(max_nodes=nodes) if nodes is not None else None
+    return nodes
 
 
 def _cmd_invariants(args) -> int:

@@ -12,9 +12,9 @@ from . import gfpoly
 from .errors import BudgetExceeded, InternalConsistencyError
 from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
                      maximal_ideals, power_chain)
-from .rings import (FiniteRing, MixedRadix, idempotents, make_gf, make_poly_quotient,
-                    make_zmod, prime_factors, units)
-from .search import SearchBudget, longest_free_length
+from .rings import (FiniteRing, MixedRadix, TABLE_CAP, idempotents, make_gf,
+                    make_poly_quotient, make_zmod, prime_factors, units)
+from .search import longest_free_length
 from .sequences import Sequence, is_idempotent_product_free
 from .groups import davenport, invariant_factors, unit_group_view
 
@@ -95,15 +95,14 @@ def _crt_lift(ring, moduli, target_pos, value):
     return crt_solve(ring, constraints)
 
 
-def construct_extremal(ring: FiniteRing, *,
-                       budget: SearchBudget | None = None) -> ConstructionTrace:
+def construct_extremal(ring: FiniteRing, *, budget: int | None = None) -> ConstructionTrace:
     """Build and verify an idempotent-product-free sequence of length
     D(U(R)) - 1 + sum of (index - 1) over the maximal ideals.
 
     Per maximal ideal of index k, k-1 ideal elements with exact prefix depths
     are found, lifted to be 1 modulo the other stationary ideal powers, and
-    appended to a maximal zero-sum-free sequence of units. The budget, if
-    any, limits the unit-group Davenport search.
+    appended to a maximal zero-sum-free sequence of units. The node budget,
+    if any, limits the unit-group Davenport search.
     """
     maxi = maximal_ideals(ring)
     chains = [power_chain(m) for m in maxi]
@@ -143,18 +142,17 @@ def construct_extremal(ring: FiniteRing, *,
 
 # exact search ----------------------------------------------------------------
 
-def exact_eb(ring: FiniteRing, *, cap: int = EB_SEARCH_CAP,
-             budget: SearchBudget | None = None) -> int:
+def exact_eb(ring: FiniteRing, *, budget: int | None = None) -> int:
     """Smallest length forcing an idempotent subsequence product: one more
     than the longest idempotent-product-free sequence, which an exhaustive
     sweep over the distinct product sets of free sequences finds
     (``search.longest_free_length``). Exact, with exhaustion certified by the
-    completed sweep rather than any formula. Rings above ``cap`` elements
-    need a budget, which counts the product sets expanded."""
-    if ring.order > cap and budget is None:
+    completed sweep rather than any formula. Rings above ``EB_SEARCH_CAP``
+    elements need a node budget, which counts the product sets expanded."""
+    if ring.order > EB_SEARCH_CAP and budget is None:
         raise BudgetExceeded(
-            f"ring order {ring.order} exceeds the exact search cap {cap}; "
-            "pass a node or time budget to override")
+            f"ring order {ring.order} exceeds the exact search cap {EB_SEARCH_CAP}; "
+            "pass a node budget to override")
     if ring._mul_t is None:
         raise ValueError("exact search needs materialized operation tables")
     try:
@@ -328,15 +326,15 @@ def classify_equality_case(num_maximal: int, indices) -> str:
     return UNKNOWN
 
 
-def report(ring: FiniteRing, *, exact: bool = False, cap: int = EB_SEARCH_CAP,
-           budget: SearchBudget | None = None,
+def report(ring: FiniteRing, *, exact: bool = False, budget: int | None = None,
            trace: ConstructionTrace | None = None) -> InvariantReport:
     """Assemble every invariant for one ring.
 
     Without ``exact``, the exact value is filled from the lower bound only in
     the certified equality cases and flagged as formula-derived; otherwise an
-    exhaustive search runs under the given cap and budget. ``trace`` is the
-    ring's ``construct_extremal`` result when the caller already has it.
+    exhaustive search runs under ``EB_SEARCH_CAP`` and the node budget.
+    ``trace`` is the ring's ``construct_extremal`` result when the caller
+    already has it.
     """
     if trace is None:
         trace = construct_extremal(ring, budget=budget)
@@ -353,7 +351,7 @@ def report(ring: FiniteRing, *, exact: bool = False, cap: int = EB_SEARCH_CAP,
     ghw = ring.order - len(idempotents(ring)) + 1
 
     if exact:
-        value = exact_eb(ring, cap=cap, budget=budget)
+        value = exact_eb(ring, budget=budget)
         formula = False
     elif case != UNKNOWN:
         value = trace.lower_bound
@@ -436,15 +434,15 @@ def dedekind_crosscheck_int(n: int) -> CoincidenceRecord:
                                lambda p: p % n, str)
 
 
-def dedekind_crosscheck_poly(q: int, f, cap: int = 4096) -> CoincidenceRecord:
+def dedekind_crosscheck_poly(q: int, f) -> CoincidenceRecord:
     """Same coincidence over a polynomial quotient: factor f by trial
     division over the coefficient field and compare against the ideal
-    indices in the quotient ring."""
+    indices in the quotient ring, of at most ``rings.TABLE_CAP`` elements."""
     base = make_gf(q)
     f = gfpoly.trim(base, tuple(f))
     if not gfpoly.is_monic(base, f):
         raise ValueError("modulus polynomial must be monic")
-    if base.order ** gfpoly.degree(f) > cap:
+    if base.order ** gfpoly.degree(f) > TABLE_CAP:
         raise ValueError("quotient order exceeds the cap")
 
     def residue(g):

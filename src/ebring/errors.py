@@ -26,7 +26,8 @@ class SpecParseError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A search ran out of its node or wall-clock budget.
+    """A search ran out of its node budget, or was refused above its size cap
+    for want of one.
 
     ``best_length`` is the longest free sequence proven to exist before the
     budget ran out: a lower bound only, explicitly not exact. ``nodes`` is the

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InternalConsistencyError
 from .rings import FiniteRing, MixedRadix, _prime_power, prime_factors, row_blocks, units
-from .search import SearchBudget, max_free_sequence
+from .search import max_free_sequence
 from .sequences import Sequence, product_set
 
 GROUP_VALIDATION_CAP = 512
@@ -213,8 +213,7 @@ def _least_generator(view: AbelianGroupView) -> int:
     return int(els[np.argmax(gen)])
 
 
-def davenport(view: AbelianGroupView, *, cap: int = DAVENPORT_CAP,
-              budget: SearchBudget | None = None) -> DavenportResult:
+def davenport(view: AbelianGroupView, *, budget: int | None = None) -> DavenportResult:
     """Smallest length forcing a subsequence with identity product, with the
     lexicographically least zero-sum-free witness of one term less.
 
@@ -225,18 +224,18 @@ def davenport(view: AbelianGroupView, *, cap: int = DAVENPORT_CAP,
     zero-sum-free sequences of length n - 1 in Z_n are g^(n-1) for the
     generators g, so the witness is the least generator n - 1 times. Other
     groups run the exact search over canonical nondecreasing sequences of
-    non-identity elements, within ``cap`` unless a budget is given; where
-    the theorem holds it is the search's ceiling, and the search must meet
-    it. Every witness is checked zero-sum free.
+    non-identity elements, within ``DAVENPORT_CAP`` unless a node budget is
+    given; where the theorem holds it is the search's ceiling, and the search
+    must meet it. Every witness is checked zero-sum free.
     """
     factors = invariant_factors(view)
     value = 1 + sum(d - 1 for d in factors)
     if len(factors) <= 1 and view.order <= GROUP_VALIDATION_CAP:
         terms = (_least_generator(view),) * (view.order - 1)
     else:
-        if view.order > cap and budget is None:
+        if view.order > DAVENPORT_CAP and budget is None:
             raise BudgetExceeded(
-                f"group order {view.order} exceeds the search cap {cap}; "
+                f"group order {view.order} exceeds the search cap {DAVENPORT_CAP}; "
                 "pass a budget to override")
         theorem = len(factors) <= 2 or _prime_power(view.order) is not None
         e = view.elements.index(view.identity)

@@ -1,4 +1,4 @@
-"""Ideal arithmetic: generation, sum, product, powers, index, nilradical,
+"""Ideal arithmetic: generation, product, powers, index, nilradical,
 maximal-ideal enumeration, quotient rings and coset-intersection CRT solving.
 
 All operations are pure functions of immutable inputs. ``Ideal.members`` is
@@ -43,9 +43,6 @@ class Ideal:
     @property
     def is_zero(self) -> bool:
         return self.members == frozenset({self.ring.zero})
-
-    def contains(self, x: int) -> bool:
-        return x in self.members
 
     def render(self) -> str:
         if not self.generators:
@@ -100,10 +97,6 @@ def _make_ideal(ring, members) -> Ideal:
     return Ideal(ring, members, _greedy_generators(ring, members))
 
 
-def zero_ideal(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, frozenset({ring.zero}), ())
-
-
 def unit_ideal(ring: FiniteRing) -> Ideal:
     return Ideal(ring, frozenset(ring.elements), (ring.one,))
 
@@ -113,24 +106,15 @@ def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
     return _make_ideal(ring, _members(_ideal_closure(ring, tuple(gens))))
 
 
-def _check_same_ring(a: Ideal, b: Ideal):
-    if a.ring is not b.ring:
-        raise ValueError("ideals belong to different rings")
-
-
 def _sum_mask(a: Ideal, b: Ideal) -> np.ndarray:
     return additive_span(a.ring, _array(b.members), _mask(a.ring, _array(a.members)))[0]
-
-
-def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
-    _check_same_ring(a, b)
-    return _make_ideal(a.ring, _members(_sum_mask(a, b)))
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     """The additive span of all x·y (x in a, y in b). Since x·y is additive in
     x, x may range over an additive generating set of a only."""
-    _check_same_ring(a, b)
+    if a.ring is not b.ring:
+        raise ValueError("ideals belong to different rings")
     ring = a.ring
     gens = np.asarray(additive_span(ring, _array(a.members))[1], dtype=np.int64)
     seeds = ring.vmul(gens[:, None], _array(b.members)[None, :])
@@ -255,19 +239,3 @@ def crt_solve(ring: FiniteRing, constraints) -> int:
     if not sols.any():
         raise InternalConsistencyError("coprime cosets failed to intersect")
     return int(np.argmax(sols))
-
-
-def is_valid_ideal(ideal: Ideal) -> bool:
-    """Exhaustive membership check: additive closure and absorption."""
-    ring = ideal.ring
-    mem = ideal.members
-    if ring.zero not in mem:
-        return False
-    for x in mem:
-        for y in mem:
-            if ring.add(x, y) not in mem:
-                return False
-        for r in ring.elements:
-            if ring.mul(x, r) not in mem:
-                return False
-    return True

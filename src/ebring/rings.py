@@ -109,9 +109,6 @@ class FiniteRing:
     def neg(self, i: int) -> int:
         return int(self.vneg(i))
 
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self.neg(j))
-
     def inverse(self, x: int) -> Optional[int]:
         return inverse(self, x)
 
@@ -136,12 +133,6 @@ class FiniteRing:
                 c += 1
             self._char = c
         return self._char
-
-    def mul_rows(self) -> list[list[int]] | None:
-        """Multiplication table as plain lists, or None above the table cap."""
-        if self._mul_t is None:
-            return None
-        return [[int(v) for v in row] for row in self._mul_t]
 
     def __repr__(self):
         return f"FiniteRing({self.label}, order={self.order})"
@@ -303,17 +294,18 @@ def _zmod(n, label):
                                                lambda x: -x % n))
 
 
-def make_gf(q: int, cap: int = VALIDATION_CAP) -> FiniteRing:
-    """The finite field with q elements; q must be a prime power within cap."""
+def make_gf(q: int) -> FiniteRing:
+    """The finite field with q elements; q must be a prime power within
+    ``VALIDATION_CAP``."""
     pk = _prime_power(q)
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
-    if q > cap:
-        raise ValueError(f"field order {q} exceeds the cap {cap}")
+    if q > VALIDATION_CAP:
+        raise ValueError(f"field order {q} exceeds the cap {VALIDATION_CAP}")
     p, k = pk
     if k == 1:
         return _zmod(p, f"GF({p})")
-    base = make_gf(p, cap)
+    base = make_gf(p)
     modulus = gfpoly.find_irreducible(base, k)
     return make_poly_quotient(base, modulus, label=f"GF({q})")
 
@@ -409,7 +401,7 @@ def make_poly_quotient(base: FiniteRing, f, label: str | None = None) -> FiniteR
     return FiniteRing(order, zero_idx, one_idx, label, tables=(add, mul), names=name_fn)
 
 
-def make_product(factors: Seq[FiniteRing], label: str | None = None) -> FiniteRing:
+def make_product(factors: Seq[FiniteRing]) -> FiniteRing:
     """Componentwise product ring on the Cartesian product of the factors."""
     if not factors:
         raise ValueError("a product ring needs at least one factor")
@@ -427,7 +419,7 @@ def make_product(factors: Seq[FiniteRing], label: str | None = None) -> FiniteRi
 
     zero = int(codec.encode([f.zero for f in factors]))
     one = int(codec.encode([f.one for f in factors]))
-    return FiniteRing(codec.order, zero, one, label or " x ".join(f.label for f in factors),
+    return FiniteRing(codec.order, zero, one, " x ".join(f.label for f in factors),
                       kernels=(componentwise(FiniteRing.vadd),
                                componentwise(FiniteRing.vmul), None),
                       names=lambda i: _tuple_name(factors, codec.digits(i).tolist()))

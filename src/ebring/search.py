@@ -72,9 +72,7 @@ step.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,13 +99,6 @@ _BYTE_SUM = np.uint64(0x0101010101010101)  # top byte of w * _BYTE_SUM is w's by
 _SMALL = np.int16
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits for the exhaustive search: node expansions and wall-clock time."""
-    max_nodes: int | None = None
-    max_seconds: float | None = None
-
-
 def _chunk_table(mul_rows, a: int, n: int) -> list[int]:
     """Byte-chunk table of the product step by ``a`` (see the module docstring)."""
     flat = []
@@ -130,9 +121,7 @@ class _Engine:
         self.memo: OrderedDict = OrderedDict()
         self.nodes = 0
         self.best_len = 0
-        self.max_nodes = budget.max_nodes if budget else None
-        self.deadline = (time.monotonic() + budget.max_seconds
-                         if budget and budget.max_seconds is not None else None)
+        self.budget = budget
         n = len(mul_rows)
         self.nbytes = -(-n // 8)
         self.chunked = len(self.cands) * self.nbytes * 256 <= TABLE_CAP
@@ -165,10 +154,8 @@ class _Engine:
         return self.children(state, 0, [(idx, self.bits[idx]) for idx in range(start, len(self.cands))])
 
     def _visit(self):
-        if self.max_nodes is not None and self.nodes >= self.max_nodes:
+        if self.budget is not None and self.nodes >= self.budget:
             raise BudgetExceeded("node budget exhausted", self.best_len, self.nodes)
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded("time budget exhausted", self.best_len, self.nodes)
         self.nodes += 1
 
     def longest(self, state, start, depth):
@@ -218,7 +205,7 @@ class _Engine:
 
     def witness(self, total):
         """Lexicographically least canonical sequence achieving the maximum."""
-        self.max_nodes = self.deadline = None
+        self.budget = None
         seq = []
         state, remaining, pairs = 0, total, self.roots(0, 0)
         while remaining > 0:
@@ -232,7 +219,7 @@ class _Engine:
         return tuple(seq)
 
 
-def max_free_sequence(mul_rows, candidates, forbidden, *, budget: SearchBudget | None = None,
+def max_free_sequence(mul_rows, candidates, forbidden, *, budget: int | None = None,
                       ceiling: int | None = None):
     """Length of the longest sequence whose product set avoids ``forbidden``,
     plus the lexicographically least witness of that length.
@@ -240,6 +227,7 @@ def max_free_sequence(mul_rows, candidates, forbidden, *, budget: SearchBudget |
     ``mul_rows`` is an indexable table of rows covering every index reachable
     by multiplying candidates together. ``ceiling``, if given, must bound the
     length of every free sequence; the result is the same, found sooner.
+    ``budget``, if given, is the most search nodes to expand.
     """
     eng = _Engine(mul_rows, sorted(candidates), forbidden, budget, ceiling)
     total = eng.longest(0, 0, 0)
@@ -316,16 +304,15 @@ def _dedup(parts):
 
 
 def longest_free_length(mul_rows, candidates, forbidden, *,
-                        budget: SearchBudget | None = None) -> int:
+                        budget: int | None = None) -> int:
     """Length of the longest sequence of ``candidates`` whose product set
     avoids ``forbidden``, by a sweep over distinct product sets in popcount
     order (see the module docstring). ``mul_rows`` is the multiplication
     table, as rows or a 2-D array, of at most 32767 elements.
 
-    ``budget.max_nodes`` counts the product sets expanded, the empty one
-    included; ``max_seconds`` is checked before each block of them. On
-    exhaustion, ``BudgetExceeded.best_length`` is the longest free sequence
-    found so far.
+    ``budget``, if given, is the most product sets to expand, the empty one
+    included. On exhaustion, ``BudgetExceeded.best_length`` is the longest
+    free sequence found so far.
     """
     n = len(mul_rows)
     if n > np.iinfo(_SMALL).max:
@@ -346,9 +333,6 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
 
     # a single block's tables are built once, several blocks' once per level
     shared = tables_of(blocks[0][1]) if len(blocks) == 1 else None
-    max_nodes = budget.max_nodes if budget else None
-    deadline = (time.monotonic() + budget.max_seconds
-                if budget and budget.max_seconds is not None else None)
 
     # pending[p]: (states, distances, starts) found at popcount p
     zero = np.zeros(1, dtype=_SMALL)
@@ -389,23 +373,19 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
         if level not in pending:
             continue
         states, dists, starts = _dedup(pending.pop(level))
-        over = max_nodes is not None and nodes + len(states) > max_nodes
+        over = budget is not None and nodes + len(states) > budget
         if over:
-            keep = max_nodes - nodes
+            keep = budget - nodes
             states, dists, starts = states[:keep], dists[:keep], starts[:keep]
         # table blocks outside, so each is built once per level, and only for
-        # the product sets whose start comes before its end; the last block
-        # takes every product set, which counts as expanded once it has
-        for t, (lo, block) in enumerate(blocks):
+        # the product sets whose start comes before its end
+        for lo, block in blocks:
             todo = int(np.searchsorted(starts, lo + len(block)))
             if not todo:
                 continue
             tab, abits = shared or tables_of(block)
             i = 0
             while i < todo:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetExceeded("time budget exhausted", best,
-                                         nodes + (i if t == len(blocks) - 1 else 0))
                 # states go in order of start, so the block's first has the least
                 col = max(int(starts[i]) - lo, 0)
                 j = min(todo, i + max(1, SWEEP_BLOCK // ((len(block) - col) * words)))

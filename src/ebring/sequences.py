@@ -10,7 +10,6 @@ sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -34,21 +33,6 @@ class Sequence:
 
     def names(self) -> list[str]:
         return [self.carrier.name(t) for t in self.terms]
-
-
-def empty_sequence(carrier) -> Sequence:
-    return Sequence(carrier, ())
-
-
-def concat(a: Sequence, b: Sequence) -> Sequence:
-    if a.carrier is not b.carrier:
-        raise ValueError("sequences live over different carriers")
-    return Sequence.make(a.carrier, a.terms + b.terms)
-
-
-def sequence_product(seq: Sequence) -> int:
-    """Product of all terms; the empty product is the carrier identity."""
-    return reduce(seq.carrier.mul, seq.terms, seq.carrier.one)
 
 
 def product_set(seq: Sequence) -> frozenset[int]:

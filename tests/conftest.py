@@ -91,7 +91,7 @@ def dfs_exact_search(ring, budget=None):
     """The exact EB constant and a longest free sequence from the witness DFS
     (``max_free_sequence``), every element a candidate and every idempotent
     forbidden: the reference for ``exact_eb``'s level sweep."""
-    length, witness = max_free_sequence(ring.mul_rows(), range(ring.order), idempotents(ring),
+    length, witness = max_free_sequence(ring._mul_t.tolist(), range(ring.order), idempotents(ring),
                                         budget=budget)
     return length + 1, Sequence.make(ring, witness)
 
@@ -158,6 +158,22 @@ def relabel(ring, perm):
     add[perm[:, None], perm[None, :]] = perm[ring._add_t]
     mul[perm[:, None], perm[None, :]] = perm[ring._mul_t]
     return make_from_table(n, add.ravel(), mul.ravel(), label=f"relabelled {ring.label}")
+
+
+def is_valid_ideal(ideal) -> bool:
+    """Exhaustive membership check: additive closure and absorption."""
+    ring = ideal.ring
+    mem = ideal.members
+    if ring.zero not in mem:
+        return False
+    for x in mem:
+        for y in mem:
+            if ring.add(x, y) not in mem:
+                return False
+        for r in ring.elements:
+            if ring.mul(x, r) not in mem:
+                return False
+    return True
 
 
 def exhaustive_validate(ring):

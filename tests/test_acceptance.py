@@ -15,7 +15,7 @@ from ebring import (Sequence, construct_extremal, crt_solve,
                     exact_eb, ideal_index, ideal_power, ideal_product,
                     idempotents, is_idempotent_product_free, make_gf,
                     maximal_ideals, product_set, synthetic_group,
-                    unit_group_view, zero_ideal)
+                    unit_group_view)
 from ebring import gfpoly
 from ebring.cli import run
 
@@ -159,7 +159,7 @@ def test_criterion_9_property_suites():
         for m in maximal_ideals(r):
             p = ideal_power(m, ideal_index(m))
             acc = p if acc is None else ideal_product(acc, p)
-        assert acc.members == zero_ideal(r).members, spec
+        assert acc.is_zero, spec
 
     for spec in ("Z/12", "GF(2)[x]/(x^3+x^2)"):
         r = family_ring(spec)
@@ -169,7 +169,7 @@ def test_criterion_9_property_suites():
             targets = [rng.randrange(r.order) for _ in moduli]
             x = crt_solve(r, list(zip(moduli, targets)))
             for q, a in zip(moduli, targets):
-                assert r.sub(x, a) in q.members
+                assert r.add(x, r.neg(a)) in q.members
     print("PASS criterion 9: 10,000 product-set oracles, stationary-power products "
           "are the zero ideal, 1,000 CRT instances reduce correctly")
 

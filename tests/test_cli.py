@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +190,59 @@ def test_budget_exhaustion_names_the_search(capsys, monkeypatch, budget, search,
                    f"(best free length proven: {best}, nodes expanded: {budget})\n")
 
 
+@pytest.mark.parametrize("argv, search", [
+    (["invariants", "Z/12", "--exact"], "Davenport search of U(Z/12)"),
+    (["davenport", "Z2xZ2xZ6"], "Davenport search of Z2 x Z2 x Z6"),
+    (["invariants", "Z/25", "--exact"], "exact sweep of Z/25"),
+], ids=["invariants-Z12", "davenport-Z2xZ2xZ6", "invariants-Z25"])
+def test_zero_budget_expands_no_node(capsys, monkeypatch, argv, search):
+    """``--budget 0`` is a budget of zero nodes, not the absence of one. The
+    first search each run reaches stops before its first node: U(Z/25) is
+    cyclic, so Z/25 takes D(U(R)) from the closed form and stops in the
+    exact sweep."""
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    assert run(argv + ["--budget", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"budget exceeded: {search}: node budget exhausted "
+                   "(best free length proven: 0, nodes expanded: 0)\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["invariants", "Z/25", "--exact"], 3,
+     "budget exceeded: ring order 25 exceeds the exact search cap 24; pass a node budget "
+     "to override (best free length proven: 0, nodes expanded: 0)\n"),
+    (["davenport", "Z2xZ34"], 3,
+     "budget exceeded: group order 68 exceeds the search cap 64; pass a budget to override "
+     "(best free length proven: 0, nodes expanded: 0)\n"),
+    (["invariants", "GF(1024)"], 2, "error: field order 1024 exceeds the cap 512\n"),
+    (["crosscheck", "poly", "2", "x^13+x+1"], 2, "error: quotient order exceeds the cap\n"),
+    (["crosscheck", "poly", "2", "x^12+x^3+1"], 0, ""),
+], ids=["exact-eb", "davenport", "field", "crosscheck-8192", "crosscheck-4096"])
+def test_size_caps_refuse_above_and_run_at_the_cap(capsys, monkeypatch, argv, code, err):
+    """Without a budget, the exact sweep takes rings of at most 24 elements
+    and the Davenport search groups of at most 64; fields go up to 512
+    elements and crosscheck quotients up to 4096."""
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    assert run(argv) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    assert bool(out) == (code == 0)
+
+
+def test_perfbench_layers_resolve_in_the_package():
+    """perfbench's tracer wraps every function its ``LAYERS`` table names, by
+    ``getattr`` on the ebring module, so a name missing from the package
+    breaks every traced benchmark run. The table is read from the file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, name) for module, names in tracing.LAYERS.values() for name in names
+               if not callable(getattr(importlib.import_module(f"ebring.{module}"), name, None))]
+    assert missing == []
+
+
 def test_inspect_outputs(capsys):
     run(["inspect", "Z/12", "units"])
     assert capsys.readouterr().out.strip() == "1,5,7,11"
@@ -288,11 +344,12 @@ def test_negative_budget_is_a_usage_error(capsys, monkeypatch):
         out, err = capsys.readouterr()
         assert out == ""
         assert "--budget must be a nonnegative node count, got -1" in err
-    monkeypatch.setenv("EBRING_BUDGET", "-5")
-    assert run(["davenport", "Z4xZ4"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "EBRING_BUDGET must be a nonnegative node count, got -5" in err
+    for value, shown in (("-5", "-5"), ("abc", "'abc'"), (" ", "' '")):
+        monkeypatch.setenv("EBRING_BUDGET", value)
+        assert run(["davenport", "Z4xZ4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: EBRING_BUDGET must be a nonnegative node count, got {shown}\n"
 
 
 def test_construct_takes_the_budget(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ebring import (ALL_INDICES_ONE, BOTH, BudgetExceeded, LOCAL,
-                    SearchBudget, Sequence, UNKNOWN, construct_extremal,
+                    Sequence, UNKNOWN, construct_extremal, erdos_burgess,
                     dedekind_crosscheck_int, dedekind_crosscheck_poly,
                     exact_eb, idempotents, is_idempotent_product_free,
                     local_case_certificate, make_from_table, make_gf,
@@ -88,10 +88,11 @@ def test_construction_lifts_are_congruent():
     for ic in trace.per_ideal:
         own = stationary[id(ic.ideal)]
         for y, lifted in zip(ic.chosen, ic.lifted):
-            assert ring.sub(lifted, y) in own.members
+            assert ring.add(lifted, ring.neg(y)) in own.members
             for other in trace.per_ideal:
                 if other is not ic:
-                    assert ring.sub(lifted, ring.one) in stationary[id(other.ideal)].members
+                    other_power = stationary[id(other.ideal)]
+                    assert ring.add(lifted, ring.neg(ring.one)) in other_power.members
 
 
 def test_trivial_unit_group_gives_empty_witness():
@@ -101,18 +102,23 @@ def test_trivial_unit_group_gives_empty_witness():
     assert trace.verified
 
 
-def test_exact_search_cap_and_budget_override():
+def test_exact_search_cap_and_budget_override(monkeypatch):
     ring = make_zmod(26)
     with pytest.raises(BudgetExceeded):
         exact_eb(ring)
-    value = exact_eb(ring, budget=SearchBudget(max_nodes=5_000_000))
+    value = exact_eb(ring, budget=5_000_000)
     assert value == 12  # D(U(Z/26)) = D(Z_12), squarefree modulus
+    monkeypatch.setattr(erdos_burgess, "EB_SEARCH_CAP", 11)
+    with pytest.raises(BudgetExceeded, match="exceeds the exact search cap 11"):
+        exact_eb(make_zmod(12))
+    assert exact_eb(make_zmod(12), budget=1_000) == 4
+    assert exact_eb(make_zmod(11)) == 10
 
 
 def test_tiny_budget_carries_partial_bound():
     ring = make_zmod(13)
     with pytest.raises(BudgetExceeded) as err:
-        exact_eb(ring, budget=SearchBudget(max_nodes=5))
+        exact_eb(ring, budget=5)
     assert err.value.exact is False
     assert 0 <= err.value.best_length < 12
 

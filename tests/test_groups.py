@@ -5,9 +5,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from ebring import (AbelianGroupView, BudgetExceeded, InternalConsistencyError, SearchBudget,
-                    davenport, groups, invariant_factors, is_zero_sum_free,
-                    make_gf, make_zmod, search, synthetic_group, unit_group_view)
+from ebring import (AbelianGroupView, BudgetExceeded, InternalConsistencyError, davenport,
+                    groups, invariant_factors, is_zero_sum_free, make_gf, make_zmod, search,
+                    synthetic_group, unit_group_view)
 from ebring.sequences import Sequence, product_set
 
 from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, family_ring, naive_davenport,
@@ -187,16 +187,17 @@ def test_cap_exceeded_without_budget():
 def test_exhausted_node_budget_reports_partial_bound():
     g = synthetic_group([3, 3])
     with pytest.raises(BudgetExceeded) as err:
-        davenport(g, budget=SearchBudget(max_nodes=3))
+        davenport(g, budget=3)
     assert 0 <= err.value.best_length <= 4
     assert err.value.exact is False
 
 
-def test_budget_overrides_the_cap():
+def test_budget_overrides_the_cap(monkeypatch):
     g = synthetic_group([3, 3])
-    with pytest.raises(BudgetExceeded):
-        davenport(g, cap=5)
-    result = davenport(g, cap=5, budget=SearchBudget(max_nodes=1_000_000))
+    monkeypatch.setattr(groups, "DAVENPORT_CAP", 5)
+    with pytest.raises(BudgetExceeded, match="exceeds the search cap 5"):
+        davenport(g)
+    result = davenport(g, budget=1_000_000)
     assert result.value == 5
 
 
@@ -231,7 +232,7 @@ def _full_search(view):
 def _assert_theorem_matches_search(view):
     """Same value and witness as the full search, within its node count."""
     value, witness, nodes = _full_search(view)
-    result = davenport(view, budget=SearchBudget(max_nodes=nodes))
+    result = davenport(view, budget=nodes)
     assert (result.value, result.witness.terms) == (value, witness), view.label
 
 
@@ -258,7 +259,7 @@ def test_group_outside_the_theorems_runs_the_full_search():
     assert (value, nodes) == (8, 8718)
     assert davenport(g).witness.terms == witness
     with pytest.raises(BudgetExceeded) as err:
-        davenport(g, budget=SearchBudget(max_nodes=nodes - 1))
+        davenport(g, budget=nodes - 1)
     assert err.value.nodes == nodes - 1
 
 

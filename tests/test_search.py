@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import tracemalloc
@@ -6,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ebring import (BudgetExceeded, SearchBudget, davenport, exact_eb, idempotents,
-                    max_free_sequence, synthetic_group)
+from ebring import (BudgetExceeded, davenport, exact_eb, idempotents, max_free_sequence,
+                    synthetic_group)
 from ebring import search
 from ebring.cli import run
 
@@ -69,10 +68,10 @@ def _group_search(spec):
 ], ids=["exact-Z16", "exact-Z12", "davenport-Z4xZ4", "davenport-Z3xZ3",
         "ceiling-Z4xZ4", "ceiling-Z3xZ3"])
 def test_node_count_is_pinned_by_the_budget(search_fn, nodes, witness):
-    terms = search_fn(SearchBudget(max_nodes=nodes))
+    terms = search_fn(nodes)
     assert witness is None or terms == witness
     with pytest.raises(BudgetExceeded) as err:
-        search_fn(SearchBudget(max_nodes=nodes - 1))
+        search_fn(nodes - 1)
     assert err.value.nodes == nodes - 1
 
 
@@ -80,7 +79,7 @@ def test_ceiling_keeps_length_witness_and_memo_exact():
     """A ceiling at the true maximum returns what the uncapped search does,
     and every memo entry it leaves is the uncapped search's value."""
     for args in ([_group_input(synthetic_group(spec)) for spec in ([4, 4], [2, 8], [3, 6])]
-                 + [(ring.mul_rows(), range(ring.order), idempotents(ring))
+                 + [(ring._mul_t.tolist(), range(ring.order), idempotents(ring))
                     for ring in map(family_ring, ("Z/12", "Z/16", "GF(2)[x]/(x^3)"))]):
         full, (total, witness, nodes) = _engine_run(*args)
         eng = search._Engine(args[0], sorted(args[1]), args[2], None, ceiling=total)
@@ -92,7 +91,7 @@ def test_ceiling_keeps_length_witness_and_memo_exact():
 
 def _kernel_inputs():
     """Every family ring in exact mode and three small groups in group mode."""
-    inputs = [(ring.mul_rows(), range(ring.order), idempotents(ring))
+    inputs = [(ring._mul_t.tolist(), range(ring.order), idempotents(ring))
               for ring in map(family_ring, FAMILY_SPECS)]
     return inputs + [_group_input(synthetic_group(spec)) for spec in ([3, 3], [2, 4], [2, 2, 2])]
 
@@ -127,22 +126,13 @@ def test_engine_matches_the_from_scratch_oracle(monkeypatch, table_cap):
 
 
 @pytest.mark.parametrize("nodes, best_length", [(5, 0), (300, 7)])
-def test_time_budget_stops_the_search(monkeypatch, nodes, best_length):
-    """A fake clock that ticks once per read: the deadline reads tick 0 and
-    each node reads the clock once, so ``max_seconds = N + 0.5`` stops the
-    search where ``max_nodes = N`` does, with the same partial counters.
-    Z/16's first descent is 8 nodes deep, so after 5 nodes no sequence is
+def test_node_budget_stops_the_search_with_partial_counters(nodes, best_length):
+    """Z/16's first descent is 8 nodes deep, so after 5 nodes no sequence is
     proven yet; after 300 the longest one is, though not certified."""
     ring = family_ring("Z/16")
-    args = (ring.mul_rows(), range(ring.order), idempotents(ring))
-    with pytest.raises(BudgetExceeded, match="node budget exhausted") as by_nodes:
-        max_free_sequence(*args, budget=SearchBudget(max_nodes=nodes))
-    ticks = itertools.count()
-    monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
-    with pytest.raises(BudgetExceeded, match="^time budget exhausted$") as by_time:
-        max_free_sequence(*args, budget=SearchBudget(max_seconds=nodes + 0.5))
-    for err in (by_nodes.value, by_time.value):
-        assert (err.nodes, err.best_length, err.exact) == (nodes, best_length, False)
+    with pytest.raises(BudgetExceeded, match="node budget exhausted") as err:
+        max_free_sequence(*_exact_input(ring), budget=nodes)
+    assert (err.value.nodes, err.value.best_length, err.value.exact) == (nodes, best_length, False)
 
 
 # level sweep ------------------------------------------------------------------
@@ -161,16 +151,16 @@ SWEEP_STATES = {
 
 
 def _exact_input(ring):
-    return ring.mul_rows(), range(ring.order), idempotents(ring)
+    return ring._mul_t.tolist(), range(ring.order), idempotents(ring)
 
 
 def _sweep_within(args, states):
     """The sweep's value with a budget of ``states`` product sets, after
     checking that one fewer runs out, having expanded that many."""
     with pytest.raises(BudgetExceeded, match="node budget exhausted") as err:
-        search.longest_free_length(*args, budget=SearchBudget(max_nodes=states - 1))
+        search.longest_free_length(*args, budget=states - 1)
     assert err.value.nodes == states - 1
-    return search.longest_free_length(*args, budget=SearchBudget(max_nodes=states))
+    return search.longest_free_length(*args, budget=states)
 
 
 @pytest.mark.parametrize("spec, length", [
@@ -297,41 +287,15 @@ def test_sweep_in_group_mode_gives_the_davenport_constant():
 
 
 @pytest.mark.parametrize("levels, nodes, best_length", [(0, 0, 0), (1, 1, 1), (4, 93, 4)])
-def test_time_budget_stops_the_sweep(monkeypatch, levels, nodes, best_length):
-    """The fake clock of the test above. The sweep reads it once before each
-    block of product sets, and each popcount level of Z/16 is one block, so
-    ``max_seconds = k + 0.5`` stops after the first k levels, where a node
-    budget of their size does. The longest sequence found by then is as
+def test_node_budget_stops_the_sweep_after_whole_levels(levels, nodes, best_length):
+    """A budget of the product sets in Z/16's first k popcount levels stops
+    the sweep after those levels. The longest sequence found by then is as
     long as the deepest level expanded, plus one for its children."""
-    ring = family_ring("Z/16")
-    args = _exact_input(ring)
-    with pytest.raises(BudgetExceeded, match="node budget exhausted") as by_nodes:
-        search.longest_free_length(*args, budget=SearchBudget(max_nodes=nodes))
-    ticks = itertools.count()
-    monkeypatch.setattr(search.time, "monotonic", lambda: next(ticks))
-    with pytest.raises(BudgetExceeded, match="^time budget exhausted$") as by_time:
-        search.longest_free_length(*args, budget=SearchBudget(max_seconds=levels + 0.5))
-    for err in (by_nodes.value, by_time.value):
-        assert (err.nodes, err.best_length, err.exact) == (nodes, best_length, False)
-
-
-def test_time_budget_counts_what_the_last_table_block_took(monkeypatch):
-    """One candidate per table block and one product set per state block:
-    Z/16's 14 free candidates make 14 table blocks, each reading the fake
-    clock once per product set of the level whose start is at most the
-    block's position. Level 0 is the empty set, with start 0, and level 1
-    the 14 singletons, {a} with the start of a, so the k-th table block
-    reads the clock once at level 0 and k times at level 1. A stop in level
-    1's last table block has expanded the empty set and the singletons that
-    block has taken; a stop in an earlier table block, the empty set alone."""
-    monkeypatch.setattr(search, "TABLE_CAP", 0)
-    monkeypatch.setattr(search, "SWEEP_BLOCK", 1)
     args = _exact_input(family_ring("Z/16"))
-    for reads, nodes in [(14 + 5, 1), (14 + sum(range(1, 14)) + 3, 1 + 3)]:
-        monkeypatch.setattr(search.time, "monotonic", itertools.count().__next__)
-        with pytest.raises(BudgetExceeded, match="^time budget exhausted$") as err:
-            search.longest_free_length(*args, budget=SearchBudget(max_seconds=reads + 0.5))
-        assert err.value.nodes == nodes
+    assert sum(len(state) < levels for state in free_product_sets(*args)) == nodes
+    with pytest.raises(BudgetExceeded, match="node budget exhausted") as err:
+        search.longest_free_length(*args, budget=nodes)
+    assert (err.value.nodes, err.value.best_length, err.value.exact) == (nodes, best_length, False)
 
 
 def test_large_ring_builds_its_tables_a_block_at_a_time(capsys, monkeypatch):
@@ -348,7 +312,7 @@ def test_large_ring_builds_its_tables_a_block_at_a_time(capsys, monkeypatch):
         cli = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         with pytest.raises(BudgetExceeded) as err:
-            exact_eb(ring, budget=SearchBudget(max_nodes=10))
+            exact_eb(ring, budget=10)
         direct = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,21 +1,12 @@
 import random
 
-import pytest
-
-from ebring import (Sequence, concat, empty_sequence,
-                    is_idempotent_product_free, make_zmod, product_set,
-                    sequence_product)
+from ebring import Sequence, is_idempotent_product_free, make_zmod, product_set
 
 from conftest import subset_products
 
 
 def test_empty_sequence_has_empty_product_set():
-    assert product_set(empty_sequence(make_zmod(5))) == frozenset()
-
-
-def test_empty_product_is_one():
-    r = make_zmod(5)
-    assert sequence_product(empty_sequence(r)) == r.one
+    assert product_set(Sequence(make_zmod(5), ())) == frozenset()
 
 
 def test_product_set_example_mod_five():
@@ -67,7 +58,7 @@ def test_product_set_monotone_under_concat():
     r = make_zmod(12)
     seq = Sequence.make(r, (5, 7))
     for a in r.elements:
-        bigger = concat(seq, Sequence.make(r, (a,)))
+        bigger = Sequence.make(r, seq.terms + (a,))
         assert product_set(seq) <= product_set(bigger)
 
 
@@ -76,7 +67,7 @@ def test_incremental_identity_under_concat():
     seq = Sequence.make(r, (2, 5, 7))
     for a in r.elements:
         s = product_set(seq)
-        assert product_set(concat(seq, Sequence.make(r, (a,)))) == (
+        assert product_set(Sequence.make(r, seq.terms + (a,))) == (
             s | {a} | {r.mul(x, a) for x in s})
 
 
@@ -88,12 +79,7 @@ def test_product_set_equals_subsequence_products():
         assert product_set(seq) == frozenset(subset_products(r.mul, seq.terms))
 
 
-def test_concat_rejects_mixed_carriers():
-    with pytest.raises(ValueError):
-        concat(Sequence.make(make_zmod(4), (1,)), Sequence.make(make_zmod(6), (1,)))
-
-
 def test_render_uses_canonical_order_and_names():
     r = make_zmod(12)
     assert Sequence.make(r, (7, 5, 10)).render() == "5,7,10"
-    assert empty_sequence(r).render() == ""
+    assert Sequence(r, ()).render() == ""
