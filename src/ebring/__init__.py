@@ -4,7 +4,7 @@ indices, and idempotent-product-free sequence invariants with constructive
 witnesses."""
 
 from .errors import (AxiomViolation, BudgetExceeded, InternalConsistencyError,
-                     SpecParseError)
+                     SearchRefused, SpecParseError)
 from .rings import (FiniteRing, TABLE_CAP, VALIDATION_CAP, idempotents,
                     inverse, is_field, make_from_table, make_gf,
                     make_poly_quotient, make_product, make_zmod,

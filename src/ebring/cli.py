@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, InternalConsistencyError, SpecParseError
+from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused, SpecParseError
 from .rings import (FiniteRing, make_from_table, make_gf, make_poly_quotient,
                     make_product, make_zmod, idempotents, units, _prime_power)
 from .ideals import ideal_index, maximal_ideals, nilradical
@@ -519,6 +519,9 @@ def run(argv) -> int:
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SearchRefused as exc:
+        print(f"refused: {exc}; pass --budget to run it", file=sys.stderr)
+        return 3
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc} (best free length proven: {exc.best_length}, "
               f"nodes expanded: {exc.nodes})", file=sys.stderr)

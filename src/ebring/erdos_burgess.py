@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gfpoly
-from .errors import BudgetExceeded, InternalConsistencyError
+from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused
 from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
                      maximal_ideals, power_chain)
 from .rings import (FiniteRing, MixedRadix, TABLE_CAP, idempotents, make_gf,
@@ -150,9 +150,7 @@ def exact_eb(ring: FiniteRing, *, budget: int | None = None) -> int:
     completed sweep rather than any formula. Rings above ``EB_SEARCH_CAP``
     elements need a node budget, which counts the product sets expanded."""
     if ring.order > EB_SEARCH_CAP and budget is None:
-        raise BudgetExceeded(
-            f"ring order {ring.order} exceeds the exact search cap {EB_SEARCH_CAP}; "
-            "pass a node budget to override")
+        raise SearchRefused(f"ring order {ring.order} exceeds the exact search cap {EB_SEARCH_CAP}")
     if ring._mul_t is None:
         raise ValueError("exact search needs materialized operation tables")
     try:

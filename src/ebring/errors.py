@@ -26,12 +26,13 @@ class SpecParseError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """A search ran out of its node budget, or was refused above its size cap
-    for want of one.
+    """A search ran out of its node budget, or the level sweep out of room
+    for its pending product sets.
 
     ``best_length`` is the longest free sequence proven to exist before the
-    budget ran out: a lower bound only, explicitly not exact. ``nodes`` is the
-    number of search nodes expanded by then (0 when no search started).
+    search stopped: a lower bound only, explicitly not exact. ``nodes`` is the
+    number of search nodes expanded by then; a sweep out of room counts the
+    popcount levels it finished.
     """
 
     def __init__(self, message: str, best_length: int = 0, nodes: int = 0):
@@ -43,6 +44,11 @@ class BudgetExceeded(RuntimeError):
     def within(self, search: str) -> BudgetExceeded:
         """The same exhaustion, its message naming the search that ran out."""
         return BudgetExceeded(f"{search}: {self}", self.best_length, self.nodes)
+
+
+class SearchRefused(BudgetExceeded):
+    """A search was refused above its size cap for want of a node budget, so
+    none ran and no length is proven."""
 
 
 class InternalConsistencyError(RuntimeError):

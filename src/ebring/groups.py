@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, InternalConsistencyError
+from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused
 from .rings import FiniteRing, MixedRadix, _prime_power, prime_factors, row_blocks, units
-from .search import max_free_sequence
+from .search import longest_free_length, max_free_sequence
 from .sequences import Sequence, product_set
 
 GROUP_VALIDATION_CAP = 512
@@ -223,10 +223,13 @@ def davenport(view: AbelianGroupView, *, budget: int | None = None) -> Davenport
     Cyclic groups up to ``GROUP_VALIDATION_CAP`` take the closed form: the
     zero-sum-free sequences of length n - 1 in Z_n are g^(n-1) for the
     generators g, so the witness is the least generator n - 1 times. Other
-    groups run the exact search over canonical nondecreasing sequences of
-    non-identity elements, within ``DAVENPORT_CAP`` unless a node budget is
-    given; where the theorem holds it is the search's ceiling, and the search
-    must meet it. Every witness is checked zero-sum free.
+    groups covered by the theorem take its value; the rest take the value
+    from the level sweep over the product sets of non-identity elements.
+    Either way the witness DFS then runs with that value as its ceiling and
+    must reach it, stopping at its least canonical witness. Both searches
+    take groups within ``DAVENPORT_CAP`` unless a node budget is given, and
+    each gets the whole budget in turn. Every witness is checked zero-sum
+    free.
     """
     factors = invariant_factors(view)
     value = 1 + sum(d - 1 for d in factors)
@@ -234,21 +237,24 @@ def davenport(view: AbelianGroupView, *, budget: int | None = None) -> Davenport
         terms = (_least_generator(view),) * (view.order - 1)
     else:
         if view.order > DAVENPORT_CAP and budget is None:
-            raise BudgetExceeded(
-                f"group order {view.order} exceeds the search cap {DAVENPORT_CAP}; "
-                "pass a budget to override")
-        theorem = len(factors) <= 2 or _prime_power(view.order) is not None
+            raise SearchRefused(f"group order {view.order} exceeds the search cap {DAVENPORT_CAP}")
         e = view.elements.index(view.identity)
         candidates = [i for i in range(view.order) if i != e]
+        source, search = "theorem", "Davenport search"
+        if len(factors) > 2 and _prime_power(view.order) is None:
+            try:
+                value = longest_free_length(view.table(), candidates, {e}, budget=budget) + 1
+            except BudgetExceeded as exc:
+                raise exc.within(f"Davenport sweep of {view.label}") from None
+            source, search = "sweep", "Davenport witness search"
         try:
             length, wit_pos = max_free_sequence(view.table().tolist(), candidates, {e},
-                                                budget=budget, ceiling=value - 1 if theorem else None)
+                                                ceiling=value - 1, budget=budget)
         except BudgetExceeded as exc:
-            raise exc.within(f"Davenport search of {view.label}") from None
-        if theorem and length != value - 1:
+            raise exc.within(f"{search} of {view.label}") from None
+        if length != value - 1:
             raise InternalConsistencyError(
-                f"search found D = {length + 1} in {view.label}, against the theorem's {value}")
-        value = length + 1
+                f"search found D = {length + 1} in {view.label}, against the {source}'s {value}")
         terms = tuple(view.elements[p] for p in wit_pos)
     witness = Sequence.make(view, terms)
     if len(witness) != value - 1 or not is_zero_sum_free(view, witness):

@@ -4,7 +4,8 @@ products of its nonempty subsequences, avoids the forbidden elements. A term
 a added to a sequence with product set S gives the product set
 S·a = S | {a} | {s·a : s in S}.
 
-The level sweep, ``longest_free_length``, serves the exact EB value. Whether
+The level sweep, ``longest_free_length``, serves every searched value: the
+exact EB constant, and D(G) for the groups no theorem covers. Whether
 a sequence is free depends only on its product set S, so its states are the
 distinct S. A free step S -> S·a strictly grows S: S·a = S would let a repeat
 forever, and is refused. So every edge goes up in popcount, and one ascending
@@ -35,25 +36,28 @@ deduplicated when it comes up. A level's states go in order of start, and a
 block of them gathers the table columns from its first state's start on. The
 candidates go in table blocks that fit in ``TABLE_CAP`` words, each built
 once per level, and only for the states whose start comes before its end.
-The count of states expanded does not depend on the labelling. The sweep
-gives no witness, and it cannot stop early at a known ceiling.
+The count of states expanded does not depend on the labelling. The pending
+product sets are held within ``PENDING_CAP`` words, so memory is bounded
+whatever the budget. The sweep gives no witness, and it cannot stop early at
+a known ceiling.
 
-The witness DFS, ``max_free_sequence``, serves witnesses, and D(U(R)) under a
-theorem's ceiling. Sequences are enumerated as canonical multisets: candidate
-elements in nondecreasing order, so every multiset is visited once. The DFS
-state is the product set of the chosen prefix, held as a Python-int bitmask,
-together with the minimum candidate position still allowed; a branch dies as
-soon as its product set meets the forbidden mask, which is exact because
-product sets only grow. States are memoized with an LRU-capped table mapping
-(mask, position) to the best extension depth proven from there. The DFS runs
-on an explicit stack, so sequence length is not bounded by the interpreter's
-recursion limit.
+The witness DFS, ``max_free_sequence``, serves witnesses only. Its caller
+always knows the length, from a closed form, a theorem or the sweep, and
+passes it as the ``ceiling``. Sequences are enumerated as canonical
+multisets: candidate elements in nondecreasing order, so every multiset is
+visited once. The DFS state is the product set of the chosen prefix, held as
+a Python-int bitmask, together with the minimum candidate position still
+allowed; a branch dies as soon as its product set meets the forbidden mask,
+which is exact because product sets only grow. States are memoized with an
+LRU-capped table mapping (mask, position) to the best extension depth proven
+from there. The DFS runs on an explicit stack, so sequence length is not
+bounded by the interpreter's recursion limit.
 
-A caller that knows no free sequence is longer than some ``ceiling`` may pass
-it: a state whose prefix plus proven extension reaches the ceiling stops
+A state whose prefix plus proven extension reaches the ceiling stops
 expanding. Its memo entry is still exact, since no extension can be longer,
-and the run is a prefix of the uncapped DFS, so it expands no more nodes and
-reconstructs the same witness.
+and the run is a prefix of the uncapped DFS (the ceiling n, as each free term
+grows the product set), so it expands no more nodes and reconstructs the same
+witness.
 
 A DFS node builds its free children eagerly, as (position, S·a) pairs, from
 its parent's free pairs at positions from its own on; a top-level call starts
@@ -89,6 +93,11 @@ TABLE_CAP = 1 << 20
 # exact-eb rings this quarter of rings.BLOCK ran as fast as rings.BLOCK and
 # peaked about 0.6 MiB lower, its temporaries staying small.
 SWEEP_BLOCK = 1 << 14
+# Most words of product sets the sweep holds pending at once (128 MiB, and
+# 4 bytes more per product set for its length and start); past it the sweep
+# stops as on an exhausted budget. The widest of the non-theorem groups of
+# order up to 64, Z2 x Z2 x Z14, peaks at 12.1M words.
+PENDING_CAP = 1 << 24
 # The sweep's product sets are rows of little-endian words, so byte c of a
 # row's uint8 view holds the elements 8c .. 8c+7 on any host.
 _WORD = np.dtype("<u8")
@@ -112,9 +121,8 @@ def _chunk_table(mul_rows, a: int, n: int) -> list[int]:
 
 
 class _Engine:
-    def __init__(self, mul_rows, candidates, forbidden, budget, ceiling=None):
-        # each term of a free sequence grows its product set, so n bounds the length
-        self.ceiling = len(mul_rows) if ceiling is None else ceiling
+    def __init__(self, mul_rows, candidates, forbidden, budget, ceiling):
+        self.ceiling = ceiling
         self.cands = tuple(int(a) for a in candidates)
         self.bits = tuple(1 << a for a in self.cands)
         self.forbidden = sum(1 << e for e in {int(e) for e in forbidden})
@@ -219,14 +227,14 @@ class _Engine:
         return tuple(seq)
 
 
-def max_free_sequence(mul_rows, candidates, forbidden, *, budget: int | None = None,
-                      ceiling: int | None = None):
+def max_free_sequence(mul_rows, candidates, forbidden, *, ceiling: int,
+                      budget: int | None = None):
     """Length of the longest sequence whose product set avoids ``forbidden``,
     plus the lexicographically least witness of that length.
 
     ``mul_rows`` is an indexable table of rows covering every index reachable
-    by multiplying candidates together. ``ceiling``, if given, must bound the
-    length of every free sequence; the result is the same, found sooner.
+    by multiplying candidates together. ``ceiling`` must bound the length of
+    every free sequence; at the true length the search stops at its witness.
     ``budget``, if given, is the most search nodes to expand.
     """
     eng = _Engine(mul_rows, sorted(candidates), forbidden, budget, ceiling)
@@ -338,12 +346,13 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
     zero = np.zeros(1, dtype=_SMALL)
     pending = {0: [(np.zeros((1, words), dtype=_WORD), zero, zero)]}
     best = nodes = 0
+    held = words  # words of the pending product sets
 
     def expand(level, tab, abits, first, states, dists, starts):
         """The free children of ``states`` by the table columns ``tab`` of the
         candidates at positions ``first`` on, each at a position no less than
         its parent's start."""
-        nonlocal best
+        nonlocal best, held
         nbytes = states.view(np.uint8)[:, :chunks]
         prods = np.repeat(abits[None], len(states), axis=0)
         for c in np.flatnonzero(nbytes.any(axis=0)):
@@ -363,6 +372,10 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
         if (pops == level).any():  # S·a == S: closed under ·a, so no power of a is forbidden
             raise ValueError("no free sequence is maximal: the forbidden "
                              "set holds no power of a candidate")
+        held += kids.size
+        if held > PENDING_CAP:
+            raise BudgetExceeded(f"pending product sets passed the cap of {PENDING_CAP} words",
+                                 best, nodes)
         order = np.argsort(pops, kind="stable")
         pops, kids, kid_dists, kid_starts = pops[order], kids[order], kid_dists[order], kid_starts[order]
         cuts = [0, *(np.flatnonzero(pops[1:] != pops[:-1]) + 1), len(pops)]
@@ -372,7 +385,9 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
     for level in range(n + 1):
         if level not in pending:
             continue
-        states, dists, starts = _dedup(pending.pop(level))
+        parts = pending.pop(level)
+        held -= sum(part[0].size for part in parts)
+        states, dists, starts = _dedup(parts)
         over = budget is not None and nodes + len(states) > budget
         if over:
             keep = budget - nodes

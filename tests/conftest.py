@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ebring import (AxiomViolation, Sequence, build_ring, idempotents, make_from_table,
-                    max_free_sequence)
+from ebring import AxiomViolation, Sequence, build_ring, idempotents, make_from_table, search
 
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None,
                           max_examples=20)
@@ -87,12 +86,31 @@ def longest_oracle(mul_rows, candidates, forbidden):
     return longest
 
 
+def dfs_reference(mul_rows, candidates, forbidden, budget=None):
+    """The witness DFS with the ceiling ``len(mul_rows)``, which bounds every
+    free sequence, as each free term grows the product set: the uncapped
+    search that the sweep and the ceiling runs are checked against. Returns
+    the longest free length, its witness as candidate positions, the nodes
+    expanded, and the engine, for its memo."""
+    eng = search._Engine(mul_rows, sorted(candidates), forbidden, budget, len(mul_rows))
+    length = eng.longest(0, 0, 0)
+    nodes = eng.nodes
+    return length, eng.witness(length), nodes, eng
+
+
+def davenport_input(view):
+    """The Davenport search's input on ``view``'s position table: its rows,
+    every non-identity position as a candidate, and the identity forbidden."""
+    e = view.elements.index(view.identity)
+    return view.table().tolist(), [i for i in range(view.order) if i != e], {e}
+
+
 def dfs_exact_search(ring, budget=None):
-    """The exact EB constant and a longest free sequence from the witness DFS
-    (``max_free_sequence``), every element a candidate and every idempotent
-    forbidden: the reference for ``exact_eb``'s level sweep."""
-    length, witness = max_free_sequence(ring._mul_t.tolist(), range(ring.order), idempotents(ring),
-                                        budget=budget)
+    """The exact EB constant and a longest free sequence from the reference
+    DFS, every element a candidate and every idempotent forbidden: the
+    reference for ``exact_eb``'s level sweep."""
+    length, witness, _, _ = dfs_reference(ring._mul_t.tolist(), range(ring.order),
+                                          idempotents(ring), budget=budget)
     return length + 1, Sequence.make(ring, witness)
 
 

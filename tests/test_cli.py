@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ebring import SpecParseError, build_ring, parse_group_spec, parse_ring_spec, report, serialize_report
+from ebring import search
 from ebring.cli import RingSpec, _build_parser, run
 
 VALID_SPECS = (
@@ -159,7 +160,7 @@ def test_run_threads_validation(capsys):
 
 
 def test_budget_exhaustion_reports_nodes_on_stderr(capsys):
-    # rank 3 and not a p-group, so no theorem gives D(G) and the full search runs
+    # rank 3 and not a p-group, so no theorem gives D(G) and the sweep runs
     assert run(["davenport", "Z2xZ2xZ6", "--budget", "10", "--json"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -192,7 +193,7 @@ def test_budget_exhaustion_names_the_search(capsys, monkeypatch, budget, search,
 
 @pytest.mark.parametrize("argv, search", [
     (["invariants", "Z/12", "--exact"], "Davenport search of U(Z/12)"),
-    (["davenport", "Z2xZ2xZ6"], "Davenport search of Z2 x Z2 x Z6"),
+    (["davenport", "Z2xZ2xZ6"], "Davenport sweep of Z2 x Z2 x Z6"),
     (["invariants", "Z/25", "--exact"], "exact sweep of Z/25"),
 ], ids=["invariants-Z12", "davenport-Z2xZ2xZ6", "invariants-Z25"])
 def test_zero_budget_expands_no_node(capsys, monkeypatch, argv, search):
@@ -210,11 +211,9 @@ def test_zero_budget_expands_no_node(capsys, monkeypatch, argv, search):
 
 @pytest.mark.parametrize("argv, code, err", [
     (["invariants", "Z/25", "--exact"], 3,
-     "budget exceeded: ring order 25 exceeds the exact search cap 24; pass a node budget "
-     "to override (best free length proven: 0, nodes expanded: 0)\n"),
+     "refused: ring order 25 exceeds the exact search cap 24; pass --budget to run it\n"),
     (["davenport", "Z2xZ34"], 3,
-     "budget exceeded: group order 68 exceeds the search cap 64; pass a budget to override "
-     "(best free length proven: 0, nodes expanded: 0)\n"),
+     "refused: group order 68 exceeds the search cap 64; pass --budget to run it\n"),
     (["invariants", "GF(1024)"], 2, "error: field order 1024 exceeds the cap 512\n"),
     (["crosscheck", "poly", "2", "x^13+x+1"], 2, "error: quotient order exceeds the cap\n"),
     (["crosscheck", "poly", "2", "x^12+x^3+1"], 0, ""),
@@ -228,6 +227,20 @@ def test_size_caps_refuse_above_and_run_at_the_cap(capsys, monkeypatch, argv, co
     out, got = capsys.readouterr()
     assert got == err
     assert bool(out) == (code == 0)
+
+
+def test_sweep_memory_cap_stops_the_run_like_a_budget(capsys, monkeypatch):
+    """The sweep holds its pending product sets within ``PENDING_CAP`` words,
+    whatever the budget. Past it the run stops with exit 3, naming the sweep
+    and what it proved: Z/16's first 15 product sets leave more than 100
+    words pending."""
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    monkeypatch.setattr(search, "PENDING_CAP", 100)
+    assert run(["invariants", "Z/16", "--exact"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("budget exceeded: exact sweep of Z/16: pending product sets passed the cap "
+                   "of 100 words (best free length proven: 3, nodes expanded: 15)\n")
 
 
 def test_perfbench_layers_resolve_in_the_package():

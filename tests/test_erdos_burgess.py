@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ebring import (ALL_INDICES_ONE, BOTH, BudgetExceeded, LOCAL,
+from ebring import (ALL_INDICES_ONE, BOTH, BudgetExceeded, LOCAL, SearchRefused,
                     Sequence, UNKNOWN, construct_extremal, erdos_burgess,
                     dedekind_crosscheck_int, dedekind_crosscheck_poly,
                     exact_eb, idempotents, is_idempotent_product_free,
@@ -109,7 +109,7 @@ def test_exact_search_cap_and_budget_override(monkeypatch):
     value = exact_eb(ring, budget=5_000_000)
     assert value == 12  # D(U(Z/26)) = D(Z_12), squarefree modulus
     monkeypatch.setattr(erdos_burgess, "EB_SEARCH_CAP", 11)
-    with pytest.raises(BudgetExceeded, match="exceeds the exact search cap 11"):
+    with pytest.raises(SearchRefused, match="exceeds the exact search cap 11"):
         exact_eb(make_zmod(12))
     assert exact_eb(make_zmod(12), budget=1_000) == 4
     assert exact_eb(make_zmod(11)) == 10

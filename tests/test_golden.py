@@ -6,7 +6,11 @@ vectorized operations. The last six entries, ``invariants`` on Z/37, Z/41
 and Z/64 and ``davenport`` on Z5 x Z7, Z5 x Z8 and Z6 x Z7, were recorded
 from the exhaustive Davenport search (seconds to half a minute each) before
 D(U(R)) was taken from the theorem, and pin that the theorem path keeps its
-witnesses."""
+witnesses. The five after them, ``invariants`` on Z/84 and Z/168 (unit groups
+Z2 x Z2 x Z6 and Z2 x Z2 x Z2 x Z6) and ``davenport`` on Z2 x Z2 x Z10,
+Z2 x Z2 x Z12 and Z2 x Z2 x Z2 x Z6, were recorded from the exhaustive
+Davenport search before the groups outside the theorems took their value
+from the sweep, and pin that the ceiling search keeps their witnesses."""
 
 import json
 from itertools import combinations_with_replacement
@@ -29,7 +33,10 @@ def test_golden_covers_the_spec_lists():
         [["invariants", s, "--json"] for s in FAMILY_SPECS + ["Z/24", "Z/36", "GF(3)[x]/(x^3)"]]
         + [["davenport", " x ".join(f"Z{d}" for d in g), "--json"] for g in groups]
         + [["invariants", s, "--json"] for s in ("Z/37", "Z/41", "Z/64")]
-        + [["davenport", s, "--json"] for s in ("Z5 x Z7", "Z5 x Z8", "Z6 x Z7")])
+        + [["davenport", s, "--json"] for s in ("Z5 x Z7", "Z5 x Z8", "Z6 x Z7")]
+        + [["invariants", s, "--json"] for s in ("Z/84", "Z/168")]
+        + [["davenport", s, "--json"] for s in ("Z2 x Z2 x Z10", "Z2 x Z2 x Z12",
+                                                 "Z2 x Z2 x Z2 x Z6")])
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"][:2]))

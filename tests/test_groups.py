@@ -5,13 +5,13 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from ebring import (AbelianGroupView, BudgetExceeded, InternalConsistencyError, davenport,
-                    groups, invariant_factors, is_zero_sum_free, make_gf, make_zmod, search,
+from ebring import (AbelianGroupView, BudgetExceeded, InternalConsistencyError, SearchRefused,
+                    davenport, groups, invariant_factors, is_zero_sum_free, make_gf, make_zmod,
                     synthetic_group, unit_group_view)
 from ebring.sequences import Sequence, product_set
 
-from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, family_ring, naive_davenport,
-                      relabel, subset_products)
+from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, davenport_input, dfs_reference,
+                      family_ring, naive_davenport, relabel, subset_products)
 
 
 def _order(g, a):
@@ -195,7 +195,7 @@ def test_exhausted_node_budget_reports_partial_bound():
 def test_budget_overrides_the_cap(monkeypatch):
     g = synthetic_group([3, 3])
     monkeypatch.setattr(groups, "DAVENPORT_CAP", 5)
-    with pytest.raises(BudgetExceeded, match="exceeds the search cap 5"):
+    with pytest.raises(SearchRefused, match="exceeds the search cap 5"):
         davenport(g)
     result = davenport(g, budget=1_000_000)
     assert result.value == 5
@@ -217,21 +217,18 @@ def test_zero_sum_free_predicate():
     assert g.identity not in product_set(Sequence.make(g, (1, 1)))
 
 
-# D(G) by theorem against the exhaustive search ------------------------------
+# D(G) by theorem or sweep against the exhaustive search -----------------------
 
-def _full_search(view):
-    """Value, witness and node count of the exhaustive search with no ceiling,
-    as ``max_free_sequence`` runs it on the group's table."""
-    e = view.elements.index(view.identity)
-    eng = search._Engine(view.table().tolist(), [i for i in range(view.order) if i != e], {e}, None)
-    total = eng.longest(0, 0, 0)
-    nodes = eng.nodes
-    return total + 1, tuple(view.elements[p] for p in eng.witness(total)), nodes
+def _reference(view):
+    """D(G), the witness and the node count of the reference DFS."""
+    length, positions, nodes, _ = dfs_reference(*davenport_input(view))
+    return length + 1, tuple(view.elements[p] for p in positions), nodes
 
 
 def _assert_theorem_matches_search(view):
-    """Same value and witness as the full search, within its node count."""
-    value, witness, nodes = _full_search(view)
+    """Same value and witness as the reference DFS, within its node count,
+    the value coming from the theorem or, outside it, from the sweep."""
+    value, witness, nodes = _reference(view)
     result = davenport(view, budget=nodes)
     assert (result.value, result.witness.terms) == (value, witness), view.label
 
@@ -248,19 +245,32 @@ def test_theorem_matches_search_on_family_unit_groups():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_theorem_matches_search_under_relabelling(seed):
-    ring = family_ring(RELABELLED[seed % len(RELABELLED)])
-    ring = relabel(ring, random.Random(seed).sample(range(ring.order), ring.order))
-    _assert_theorem_matches_search(unit_group_view(ring))
+    # U(Z/84) = Z2 x Z2 x Z6 lies outside the theorems, so it takes the sweep
+    for spec in (RELABELLED[seed % len(RELABELLED)], "Z/84"):
+        ring = family_ring(spec)
+        ring = relabel(ring, random.Random(seed).sample(range(ring.order), ring.order))
+        _assert_theorem_matches_search(unit_group_view(ring))
 
 
-def test_group_outside_the_theorems_runs_the_full_search():
-    g = synthetic_group([2, 2, 6])  # rank 3, not a p-group
-    value, witness, nodes = _full_search(g)
+def test_group_outside_the_theorems_takes_the_sweep_value_and_the_ceiling_witness(monkeypatch):
+    """Z2 x Z2 x Z6 has rank 3 and is not a p-group. The sweep expands 5027
+    product sets for its value, and the DFS cut at that value 8 nodes for
+    its witness, against the reference's 8718. Each search gets the whole
+    budget in turn, and one node short, the one that ran out is named."""
+    g = synthetic_group([2, 2, 6])
+    value, witness, nodes = _reference(g)
     assert (value, nodes) == (8, 8718)
-    assert davenport(g).witness.terms == witness
-    with pytest.raises(BudgetExceeded) as err:
-        davenport(g, budget=nodes - 1)
-    assert err.value.nodes == nodes - 1
+    result = davenport(g, budget=5027)
+    assert (result.value, result.witness.terms) == (value, witness)
+    with pytest.raises(BudgetExceeded, match="^Davenport sweep of Z2 x Z2 x Z6: ") as err:
+        davenport(g, budget=5026)
+    assert err.value.nodes == 5026
+    sweep = groups.longest_free_length
+    monkeypatch.setattr(groups, "longest_free_length", lambda *args, budget: sweep(*args))
+    assert davenport(g, budget=8).witness.terms == witness
+    with pytest.raises(BudgetExceeded, match="^Davenport witness search of Z2 x Z2 x Z6: ") as err:
+        davenport(g, budget=7)
+    assert err.value.nodes == 7
 
 
 def test_theorem_path_checks_its_witness(monkeypatch):
@@ -273,6 +283,11 @@ def test_theorem_path_checks_its_witness(monkeypatch):
     monkeypatch.setattr(groups, "invariant_factors", lambda view: [2, 4])
     with pytest.raises(InternalConsistencyError, match="against the theorem"):
         davenport(synthetic_group([2, 2, 2]))
+    monkeypatch.undo()
+    # and so is a sweep value above it
+    monkeypatch.setattr(groups, "longest_free_length", lambda *args, budget: 8)
+    with pytest.raises(InternalConsistencyError, match="found D = 8 .* against the sweep's 9"):
+        davenport(synthetic_group([2, 2, 6]))
 
 
 def test_cyclic_closed_form_above_the_search_cap():
@@ -283,5 +298,5 @@ def test_cyclic_closed_form_above_the_search_cap():
         result = davenport(view)
         assert result.value == view.order
         assert result.witness.terms == (gen,) * (view.order - 1)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(SearchRefused):
         davenport(synthetic_group([2] * 7))  # order 128, not cyclic

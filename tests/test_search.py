@@ -10,34 +10,22 @@ from ebring import (BudgetExceeded, davenport, exact_eb, idempotents, max_free_s
 from ebring import search
 from ebring.cli import run
 
-from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, dfs_exact_search, family_ring,
-                      free_product_sets, longest_oracle, relabel, sweep_oracle)
-
-
-def _group_input(view):
-    pos = {a: i for i, a in enumerate(view.elements)}
-    rows = [[pos[view.mul(a, b)] for b in view.elements] for a in view.elements]
-    return rows, [pos[a] for a in view.elements if a != view.identity], {pos[view.identity]}
-
-
-def _engine_run(rows, candidates, forbidden):
-    eng = search._Engine(rows, sorted(candidates), forbidden, None)
-    total = eng.longest(0, 0, 0)
-    nodes = eng.nodes
-    return eng, (total, eng.witness(total), nodes)
+from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, davenport_input, dfs_exact_search,
+                      dfs_reference, family_ring, free_product_sets, longest_oracle, relabel,
+                      sweep_oracle)
 
 
 def test_sequence_longer_than_the_recursion_limit():
     n = 1201
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    assert max_free_sequence(rows, [1], {0}) == (n - 1, (1,) * (n - 1))
+    assert max_free_sequence(rows, [1], {0}, ceiling=n) == (n - 1, (1,) * (n - 1))
     assert max_free_sequence(rows, [1], {0}, ceiling=n - 1) == (n - 1, (1,) * (n - 1))
 
 
 def test_unreachable_forbidden_set_is_refused():
     rows = [[(i + j) % 3 for j in range(3)] for i in range(3)]
     with pytest.raises(ValueError, match="no free sequence is maximal"):
-        max_free_sequence(rows, [1], set())
+        max_free_sequence(rows, [1], set(), ceiling=3)
     with pytest.raises(ValueError, match="no free sequence is maximal"):
         search.longest_free_length(rows, [1], set())
 
@@ -48,21 +36,15 @@ def test_sweep_refuses_more_elements_than_int16_holds():
         search.longest_free_length(rows, [1], {0})
 
 
-def _group_search(spec):
-    """The Davenport search with no ceiling, on the table ``davenport`` uses."""
-    view = synthetic_group(spec)
-    e = view.elements.index(view.identity)
-    rows, candidates = view.table().tolist(), [i for i in range(view.order) if i != e]
-    return lambda b: max_free_sequence(rows, candidates, {e}, budget=b)[1]
-
-
 # each search returns its witness terms; davenport on a group of rank two
 # cuts the same search at the theorem's ceiling D* - 1
 @pytest.mark.parametrize("search_fn, nodes, witness", [
     (lambda b: dfs_exact_search(family_ring("Z/16"), budget=b)[1].terms, 677, (2, 2, 2, 3, 3, 3, 5)),
     (lambda b: dfs_exact_search(family_ring("Z/12"), budget=b)[1].terms, 36, None),
-    (_group_search([4, 4]), 1375, (1, 1, 1, 4, 4, 4)),
-    (_group_search([3, 3]), 98, (1, 1, 3, 3)),
+    (lambda b: dfs_reference(*davenport_input(synthetic_group([4, 4])), budget=b)[1],
+     1375, (1, 1, 1, 4, 4, 4)),
+    (lambda b: dfs_reference(*davenport_input(synthetic_group([3, 3])), budget=b)[1],
+     98, (1, 1, 3, 3)),
     (lambda b: davenport(synthetic_group([4, 4]), budget=b).witness.terms, 7, (1, 1, 1, 4, 4, 4)),
     (lambda b: davenport(synthetic_group([3, 3]), budget=b).witness.terms, 5, (1, 1, 3, 3)),
 ], ids=["exact-Z16", "exact-Z12", "davenport-Z4xZ4", "davenport-Z3xZ3",
@@ -78,10 +60,9 @@ def test_node_count_is_pinned_by_the_budget(search_fn, nodes, witness):
 def test_ceiling_keeps_length_witness_and_memo_exact():
     """A ceiling at the true maximum returns what the uncapped search does,
     and every memo entry it leaves is the uncapped search's value."""
-    for args in ([_group_input(synthetic_group(spec)) for spec in ([4, 4], [2, 8], [3, 6])]
-                 + [(ring._mul_t.tolist(), range(ring.order), idempotents(ring))
-                    for ring in map(family_ring, ("Z/12", "Z/16", "GF(2)[x]/(x^3)"))]):
-        full, (total, witness, nodes) = _engine_run(*args)
+    for args in ([davenport_input(synthetic_group(spec)) for spec in ([4, 4], [2, 8], [3, 6])]
+                 + [_exact_input(family_ring(spec)) for spec in ("Z/12", "Z/16", "GF(2)[x]/(x^3)")]):
+        total, witness, nodes, full = dfs_reference(*args)
         eng = search._Engine(args[0], sorted(args[1]), args[2], None, ceiling=total)
         assert eng.longest(0, 0, 0) == total
         assert eng.nodes <= nodes
@@ -91,21 +72,20 @@ def test_ceiling_keeps_length_witness_and_memo_exact():
 
 def _kernel_inputs():
     """Every family ring in exact mode and three small groups in group mode."""
-    inputs = [(ring._mul_t.tolist(), range(ring.order), idempotents(ring))
-              for ring in map(family_ring, FAMILY_SPECS)]
-    return inputs + [_group_input(synthetic_group(spec)) for spec in ([3, 3], [2, 4], [2, 2, 2])]
+    return ([_exact_input(family_ring(spec)) for spec in FAMILY_SPECS]
+            + [davenport_input(synthetic_group(spec)) for spec in ([3, 3], [2, 4], [2, 2, 2])])
 
 
 def test_bit_walk_kernel_matches_the_tables(monkeypatch):
     inputs = _kernel_inputs()
     tabled = []
     for args in inputs:
-        eng, got = _engine_run(*args)
+        *got, eng = dfs_reference(*args)
         assert eng.chunked
         tabled.append(got)
     monkeypatch.setattr(search, "TABLE_CAP", 0)
     for args, want in zip(inputs, tabled):
-        eng, got = _engine_run(*args)
+        *got, eng = dfs_reference(*args)
         assert not eng.chunked
         assert got == want
 
@@ -117,7 +97,7 @@ def test_engine_matches_the_from_scratch_oracle(monkeypatch, table_cap):
     candidate, or a wrong incremental step, would lower some entry."""
     monkeypatch.setattr(search, "TABLE_CAP", table_cap)
     for args in _kernel_inputs():
-        eng, (total, witness, _) = _engine_run(*args)
+        total, witness, _, eng = dfs_reference(*args)
         assert eng.chunked == bool(table_cap)
         oracle = longest_oracle(*args)
         assert total == oracle(0, 0)
@@ -131,7 +111,7 @@ def test_node_budget_stops_the_search_with_partial_counters(nodes, best_length):
     proven yet; after 300 the longest one is, though not certified."""
     ring = family_ring("Z/16")
     with pytest.raises(BudgetExceeded, match="node budget exhausted") as err:
-        max_free_sequence(*_exact_input(ring), budget=nodes)
+        dfs_reference(*_exact_input(ring), budget=nodes)
     assert (err.value.nodes, err.value.best_length, err.value.exact) == (nodes, best_length, False)
 
 
@@ -183,7 +163,7 @@ def test_sweep_matches_the_dfs_on_the_family(monkeypatch, table_cap, block):
     monkeypatch.setattr(search, "SWEEP_BLOCK", block)
     for spec in FAMILY_SPECS:
         args = _exact_input(family_ring(spec))
-        eng, (total, _, nodes) = _engine_run(*args)
+        total, _, nodes, _ = dfs_reference(*args)
         states = len(free_product_sets(*args))
         assert states <= nodes, spec
         assert _sweep_within(args, states) == total, spec
@@ -194,13 +174,13 @@ def test_sweep_matches_the_dfs_under_relabelling(seed):
     spec = RELABELLED[seed % len(RELABELLED)]
     ring = family_ring(spec)
     args = _exact_input(relabel(ring, random.Random(seed).sample(range(ring.order), ring.order)))
-    assert _sweep_within(args, SWEEP_STATES[spec]) == max_free_sequence(*args)[0]
+    assert _sweep_within(args, SWEEP_STATES[spec]) == dfs_reference(*args)[0]
 
 
 @pytest.mark.parametrize("spec", ["Z/9 x GF(2) x GF(2) x GF(2)", "Z/3 x Z/3 x Z/8"])
 def test_sweep_matches_the_dfs_on_two_word_rings(spec):
     args = _exact_input(family_ring(spec))
-    assert _sweep_within(args, SWEEP_STATES[spec]) == max_free_sequence(*args)[0]
+    assert _sweep_within(args, SWEEP_STATES[spec]) == dfs_reference(*args)[0]
 
 
 def _record_states(monkeypatch):
@@ -222,7 +202,7 @@ def _record_states(monkeypatch):
 def state_oracles():
     """The family rings, two relabellings of each, and the groups of up to 16
     elements, each with its ``sweep_oracle`` states."""
-    inputs = [_group_input(synthetic_group(spec)) for spec in SMALL_GROUPS if math.prod(spec) <= 16]
+    inputs = [davenport_input(synthetic_group(spec)) for spec in SMALL_GROUPS if math.prod(spec) <= 16]
     for seed, spec in enumerate(FAMILY_SPECS * 3):
         ring = family_ring(spec)
         perm = random.Random(seed).sample(range(ring.order), ring.order)
@@ -254,7 +234,7 @@ def family_oracles():
     out = {}
     for spec in FAMILY_SPECS:
         args = _exact_input(family_ring(spec))
-        out[spec] = len(free_product_sets(*args)), max_free_sequence(*args)[0]
+        out[spec] = len(free_product_sets(*args)), dfs_reference(*args)[0]
     return out
 
 
@@ -277,8 +257,7 @@ def test_sweep_in_group_mode_gives_the_davenport_constant():
     (about a second per group at 24 elements)."""
     for spec in SMALL_GROUPS:
         view = synthetic_group(spec)
-        e = view.elements.index(view.identity)
-        args = view.table(), [i for i in range(view.order) if i != e], {e}
+        args = davenport_input(view)
         if view.order <= 20:
             length = _sweep_within(args, len(free_product_sets(*args)))
         else:
