@@ -8,10 +8,10 @@ from .errors import (AxiomViolation, BudgetExceeded, InternalConsistencyError,
 from .rings import (FiniteRing, TABLE_CAP, VALIDATION_CAP, idempotents,
                     inverse, is_field, make_from_table, make_gf,
                     make_poly_quotient, make_product, make_zmod,
-                    units, validate_ring)
+                    validate_ring)
 from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
                      ideal_power, ideal_product, maximal_ideals, nilradical,
-                     power_chain, quotient_ring, unit_ideal)
+                     power_chain, quotient_ring, unit_ideal, units)
 from .sequences import Sequence, is_idempotent_product_free, product_set
 from .search import max_free_sequence
 from .groups import (AbelianGroupView, DavenportResult, davenport,

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused, SpecParseError
 from .rings import (FiniteRing, make_from_table, make_gf, make_poly_quotient,
-                    make_product, make_zmod, idempotents, units, _prime_power)
-from .ideals import ideal_index, maximal_ideals, nilradical
+                    make_product, make_zmod, idempotents, _prime_power)
+from .ideals import ideal_index, maximal_ideals, nilradical, units
 from .groups import davenport, synthetic_group
 from .sequences import is_idempotent_product_free
 from .erdos_burgess import (InvariantReport, UNKNOWN, construct_extremal,

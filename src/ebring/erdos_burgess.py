@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from . import gfpoly
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused
 from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
-                     maximal_ideals, power_chain)
+                     maximal_ideals, power_chain, units)
 from .rings import (FiniteRing, MixedRadix, TABLE_CAP, idempotents, make_gf,
-                    make_poly_quotient, make_zmod, prime_factors, units)
+                    make_poly_quotient, make_zmod, prime_factors)
 from .search import longest_free_length
 from .sequences import Sequence, is_idempotent_product_free
 from .groups import davenport, invariant_factors, unit_group_view

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused
-from .rings import FiniteRing, MixedRadix, _prime_power, prime_factors, row_blocks, units
+from .ideals import units
+from .rings import FiniteRing, MixedRadix, _prime_power, prime_factors, row_blocks, vpower
 from .search import longest_free_length, max_free_sequence
 from .sequences import Sequence, product_set
 
@@ -155,18 +156,6 @@ def synthetic_group(spec) -> AbelianGroupView:
     return AbelianGroupView(range(codec.order), vop, 0, label, names=names)
 
 
-def _power(view: AbelianGroupView, x: np.ndarray, k: int) -> np.ndarray:
-    """Elementwise x^k for k >= 1, by repeated squaring."""
-    acc = None
-    while k:
-        if k & 1:
-            acc = x if acc is None else view.vop(acc, x)
-        k >>= 1
-        if k:
-            x = view.vop(x, x)
-    return acc
-
-
 def invariant_factors(view: AbelianGroupView) -> list[int]:
     """Invariant factor decomposition d_1 | d_2 | ... | d_r.
 
@@ -181,7 +170,7 @@ def invariant_factors(view: AbelianGroupView) -> list[int]:
     for p, v in prime_factors(view.order):
         x, logs = view.element_array(), [0]  # logs[k] = log_p #{x : x^(p^k) = 1}
         while logs[-1] < v:
-            x = _power(view, x, p)
+            x = vpower(view.vop, x, p)
             logs.append(round(math.log(np.count_nonzero(x == view.identity), p)))
         ranks = np.diff(logs)  # ranks[k - 1] = r_k
         exps.append((p, [int(np.count_nonzero(ranks >= i)) for i in range(1, ranks[0] + 1)]))
@@ -209,7 +198,7 @@ def _least_generator(view: AbelianGroupView) -> int:
     els = view.element_array()
     gen = np.ones(len(els), dtype=bool)
     for p, _ in prime_factors(view.order):
-        gen &= _power(view, els, view.order // p) != view.identity
+        gen &= vpower(view.vop, els, view.order // p) != view.identity
     return int(els[np.argmax(gen)])
 
 

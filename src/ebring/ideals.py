@@ -1,5 +1,5 @@
 """Ideal arithmetic: generation, product, powers, index, nilradical,
-maximal-ideal enumeration, quotient rings and coset-intersection CRT solving.
+maximal ideals, units, quotient rings and coset-intersection CRT solving.
 
 All operations are pure functions of immutable inputs. ``Ideal.members`` is
 a frozenset, but the work is done on boolean membership masks and index
@@ -7,6 +7,11 @@ arrays through the ring's vectorized ``vadd``/``vmul``, so the same code runs
 on tables and, above the table cap, on the constructors' kernels. Additive
 closures come from ``rings.additive_span``: each enlarging seed adds its
 cosets in doubling steps.
+
+The maximal ideals come from the primitive idempotents of the ring itself,
+each certified by a primitive element of its residue field, and the units
+are the elements outside all of them, each certified by a power. No quotient
+ring is built on the way.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .rings import (FiniteRing, VALIDATION_CAP, additive_span, idempotents,
-                    is_field)
+                    prime_factors, vpower)
 
 
 @dataclass(frozen=True)
@@ -80,21 +85,22 @@ def _ideal_closure(ring, gens, within=None) -> np.ndarray:
     return additive_span(ring, seeds, within)[0]
 
 
-def _greedy_generators(ring, members) -> tuple[int, ...]:
-    """Least members, ascending, each outside the ideal the earlier ones generate."""
+def _greedy_generators(ring, members) -> tuple[tuple[int, ...], np.ndarray]:
+    """Least members, ascending, each outside the ideal the earlier ones
+    generate; plus the mask of the ideal they all generate."""
     candidates = np.sort(_array(members))
     have = _mask(ring, [ring.zero])
     gens: list[int] = []
     while True:
         missing = candidates[~have[candidates]]
         if not missing.size:
-            return tuple(gens)
+            return tuple(gens), have
         gens.append(int(missing[0]))
         have = _ideal_closure(ring, gens[-1:], have)
 
 
 def _make_ideal(ring, members) -> Ideal:
-    return Ideal(ring, members, _greedy_generators(ring, members))
+    return Ideal(ring, members, _greedy_generators(ring, members)[0])
 
 
 def unit_ideal(ring: FiniteRing) -> Ideal:
@@ -145,14 +151,16 @@ def ideal_index(n: Ideal) -> int:
     return len(power_chain(n)) - 1
 
 
+def _nil_mask(ring) -> np.ndarray:
+    """Mask of the nilpotent elements. A nilpotent x has x^m = 0 for some
+    m <= order (its nonzero powers are distinct), so x is nilpotent iff
+    x^(2^k) = 0 for 2^k >= order: k squarings of the whole element array."""
+    return vpower(ring.vmul, ring.element_array(), 1 << (ring.order - 1).bit_length()) == ring.zero
+
+
 def nilradical(ring: FiniteRing) -> Ideal:
-    """All nilpotent elements. A nilpotent x has x^m = 0 for some m <= order
-    (its nonzero powers are distinct), so x is nilpotent iff x^(2^k) = 0 for
-    2^k >= order: k squarings of the whole element array."""
-    powers = ring.element_array()
-    for _ in range((ring.order - 1).bit_length()):
-        powers = ring.vmul(powers, powers)
-    return _make_ideal(ring, _members(powers == ring.zero))
+    """All nilpotent elements."""
+    return _make_ideal(ring, _members(_nil_mask(ring)))
 
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, list[int]]:
@@ -191,29 +199,66 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, list[int]
     return quot, theta.tolist()
 
 
-def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
-    """The complete list of maximal ideals, each certified by a field quotient.
+def _residue_field_certified(ring, mask) -> bool:
+    """Whether R/M is a field, M being the ideal masked by ``mask``: for
+    q = |R/M|, some g has g^(q-1) in 1 + M but g^((q-1)/p) not in 1 + M for
+    each prime p dividing q - 1. Then the class of g is a unit of order
+    q - 1, so its powers are the q - 1 nonzero classes, all units."""
+    q = ring.order // int(np.count_nonzero(mask))
+    everything = ring.element_array()
+    near_one = mask[ring.vadd(everything, ring.vneg(ring.one))]  # x in 1 + M
+    g = everything[~mask]
+    found = near_one[vpower(ring.vmul, g, q - 1)]
+    for p, _ in prime_factors(q - 1):
+        found &= ~near_one[vpower(ring.vmul, g, (q - 1) // p)]
+    return bool(found.any())
 
-    Route: quotient by the nilradical (semisimple, a product of fields),
-    take primitive idempotents there, annihilate each, and pull back. A zero
-    ideal is not quotiented out: R/(0) is R itself.
+
+def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
+    """The complete list of maximal ideals, each certified by a primitive
+    element of its residue field.
+
+    Idempotents lift modulo the nil ideal N (McDonald, *Finite Rings with
+    Identity*, 1974), so the primitive idempotents e of R are those of R/N,
+    a product of fields, and M_e = {x : x·e in N} runs over the maximal
+    ideals with no quotient ring built. Each M_e is certified: its greedy
+    generators generate exactly M_e, so it is an ideal; 1 is not in it; and
+    R/M_e is a field by ``_residue_field_certified``.
     """
-    nil = nilradical(ring)
-    semi, theta = (ring, ring.element_array()) if nil.is_zero else quotient_ring(ring, nil)
-    theta = np.asarray(theta)
-    idem = np.array(sorted(idempotents(semi) - {semi.zero}), dtype=np.int64)
+    nil = _nil_mask(ring)
+    everything = ring.element_array()
+    idem = np.array(sorted(idempotents(ring) - {ring.zero}), dtype=np.int64)
     # below[f, e]: f != e and f·e = f, i.e. f lies strictly under e
-    below = (semi.vmul(idem[:, None], idem[None, :]) == idem[:, None]) & (idem[:, None] != idem)
+    below = (ring.vmul(idem[:, None], idem[None, :]) == idem[:, None]) & (idem[:, None] != idem)
     found = []
     for e in idem[~below.any(axis=0)]:
-        ann = semi.vmul(semi.element_array(), e) == semi.zero
-        m = _make_ideal(ring, _members(ann[theta]))
-        if not is_field(ring if m.is_zero else quotient_ring(ring, m)[0]):
+        mask = nil[ring.vmul(everything, e)]
+        members = _members(mask)
+        gens, generated = _greedy_generators(ring, members)
+        m = Ideal(ring, members, gens)
+        if (not np.array_equal(generated, mask) or mask[ring.one]
+                or not _residue_field_certified(ring, mask)):
             raise InternalConsistencyError(
                 f"candidate maximal ideal {m.render()} has a non-field quotient")
         found.append(m)
     found.sort(key=lambda m: tuple(sorted(m.members)))
     return found
+
+
+def units(ring: FiniteRing) -> frozenset[int]:
+    """All elements with a multiplicative inverse: those outside every
+    maximal ideal, as a member of a proper ideal is never a unit. Each is
+    certified by x^|U| = 1, which makes x a unit. Cached per ring."""
+    if ring._units is None:
+        outside = np.ones(ring.order, dtype=bool)
+        for m in maximal_ideals(ring):
+            outside[_array(m.members)] = False
+        claimed = np.flatnonzero(outside)
+        if not (vpower(ring.vmul, claimed, claimed.size) == ring.one).all():
+            raise InternalConsistencyError(
+                "an element outside every maximal ideal fails the unit certificate")
+        ring._units = frozenset(claimed.tolist())
+    return ring._units
 
 
 def crt_solve(ring: FiniteRing, constraints) -> int:

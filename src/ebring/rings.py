@@ -197,6 +197,12 @@ def validate_ring(ring: FiniteRing) -> None:
     test, Clifford–Preston I §1.2; for distributivity once + is associative,
     for · once distributivity holds), so G certifies every triple. Cost
     O(|G|·n²) instead of O(n³); |G| is at most 1 + log2(n) for a ring.
+    Commutativity, checked first, turns each identity into row gathers: with
+    T = (rows g∘x of the table), (x∘g)∘y = T[x, y] and x∘(g∘y) = T[y, x],
+    so associativity at g says T is symmetric, and the two sides of
+    distributivity are the rows g + y of · and the sums g·x + x·y, gathered
+    from the flat + table. Each compared array equals the direct one entry
+    by entry, so the first failing (x, g, y) is the same.
 
     Requires materialized tables, so it only applies up to the table cap.
     """
@@ -224,10 +230,11 @@ def validate_ring(ring: FiniteRing) -> None:
         i = int(np.argwhere(~(a == ring.zero).any(axis=1))[0][0])
         raise AxiomViolation("additive inverse", (i,))
     for g in [ring.zero] + additive_span(ring, rng)[1]:
+        t_add, t_mul = a.take(a[g], axis=0), m.take(m[g], axis=0)
         for axiom, left, right in (
-                ("addition associativity", a[a[:, g]], a[:, a[g]]),
-                ("multiplication associativity", m[m[:, g]], m[:, m[g]]),
-                ("distributivity", m[:, a[g]], a[m[:, g, None], m])):
+                ("addition associativity", t_add, t_add.T),
+                ("multiplication associativity", t_mul, t_mul.T),
+                ("distributivity", m.take(a[g], axis=0).T, a.take(m[g][:, None] * n + m))):
             if not np.array_equal(left, right):
                 x, y = np.argwhere(left != right)[0]
                 raise AxiomViolation(axiom, (int(x), g, int(y)))
@@ -465,15 +472,17 @@ def make_from_table(n: int, add_table, mul_table, names: Seq[str] | None = None,
 
 # queries --------------------------------------------------------------------
 
-def units(ring: FiniteRing) -> frozenset[int]:
-    """All elements with a multiplicative inverse."""
-    if ring._units is None:
-        x = ring.element_array()
-        hit = np.zeros(ring.order, dtype=bool)
-        for rows in row_blocks(ring.order, ring.order):
-            hit[rows] = (ring.vmul(x[rows, None], x[None, :]) == ring.one).any(axis=1)
-        ring._units = frozenset(np.flatnonzero(hit).tolist())
-    return ring._units
+def vpower(vmul, x, k: int) -> np.ndarray:
+    """Elementwise x^k for k >= 1 under the vectorized operation ``vmul``,
+    by repeated squaring."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = x if acc is None else vmul(acc, x)
+        k >>= 1
+        if k:
+            x = vmul(x, x)
+    return acc
 
 
 def idempotents(ring: FiniteRing) -> frozenset[int]:
@@ -485,7 +494,11 @@ def idempotents(ring: FiniteRing) -> frozenset[int]:
 
 
 def is_field(ring: FiniteRing) -> bool:
-    return len(units(ring)) == ring.order - 1
+    """Whether every nonzero element is a unit: x^(n-1) = 1 for every x != 0,
+    which holds in a field of n elements (Lagrange) and makes each such x a
+    unit."""
+    x = ring.element_array()
+    return bool((vpower(ring.vmul, x[x != ring.zero], ring.order - 1) == ring.one).all())
 
 
 def inverse(ring: FiniteRing, x: int) -> Optional[int]:

@@ -66,12 +66,13 @@ Dropping the parent's forbidden pairs is exact: S ⊆ S' implies S·a ⊆ S'·a,
 a step that meets the forbidden mask at S meets it at S' too, and the plain
 DFS would have skipped it with no memo lookup. The step is incremental: with
 Δ = S' & ~S, S'·a = S' | S·a | Δ·a, since s·a for s in S is already in S·a,
-so it reads the tables at Δ only. Δ·a ORs one table entry per nonzero byte of Δ:
-entry ``256*j + b`` of a's table is the mask of s·a over s = 8j + k for the
-set bits k of b. Above ``TABLE_CAP`` entries the tables go by element instead,
-and the step walks the set bits of Δ. Neither shortcut changes a product set,
-so nodes, memo traffic, counters and witnesses are those of the from-scratch
-step.
+so it reads the tables at Δ only. Δ·a ORs one table entry per nonzero byte of Δ,
+from the sweep's tables as Python ints: entry ``256*j + b`` of a's table is
+the mask of s and s·a over s = 8j + k for the set bits k of b, and s itself
+adds nothing, as Δ ⊆ S'. Above ``TABLE_CAP`` entries the tables go by element
+instead, and the step walks the set bits of Δ. Neither shortcut changes a
+product set, so nodes, memo traffic, counters and witnesses are those of the
+from-scratch step.
 """
 
 from __future__ import annotations
@@ -83,11 +84,11 @@ import numpy as np
 from .errors import BudgetExceeded, InternalConsistencyError
 
 MEMO_CAP = 1 << 20
-# Most byte-chunk table entries (candidates x chunks x 256) built eagerly:
-# covers every full search of order up to 128, at a few tens of MiB. The
-# sweep counts uint64 words and builds its tables a block of candidates at a
-# time within the same cap, 8 MiB, down to one candidate; one candidate's
-# table passes the cap above 2048 elements.
+# Most byte-chunk table entries (candidates x chunks x 256) the witness DFS
+# holds as Python ints: covers every full search of order up to 128, at a
+# few tens of MiB. Both searches build their tables in numpy a block of
+# candidates at a time within the same cap in uint64 words, 8 MiB, down to
+# one candidate; one candidate's table passes the cap above 2048 elements.
 TABLE_CAP = 1 << 20
 # Most products of one sweep block, in words (128 KiB). On the benchmark's
 # exact-eb rings this quarter of rings.BLOCK ran as fast as rings.BLOCK and
@@ -108,18 +109,6 @@ _BYTE_SUM = np.uint64(0x0101010101010101)  # top byte of w * _BYTE_SUM is w's by
 _SMALL = np.int16
 
 
-def _chunk_table(mul_rows, a: int, n: int) -> list[int]:
-    """Byte-chunk table of the product step by ``a`` (see the module docstring)."""
-    flat = []
-    for base in range(0, n, 8):
-        tab = [0]
-        for s in range(base, base + 8):
-            bit = 1 << int(mul_rows[s][a]) if s < n else 0
-            tab += [m | bit for m in tab]  # entry b now covers the low bits of b
-        flat += tab
-    return flat
-
-
 class _Engine:
     def __init__(self, mul_rows, candidates, forbidden, budget, ceiling):
         self.ceiling = ceiling
@@ -130,14 +119,15 @@ class _Engine:
         self.nodes = 0
         self.best_len = 0
         self.budget = budget
-        n = len(mul_rows)
+        mul = np.asarray(mul_rows, dtype=np.int64)
+        n = len(mul)
         self.nbytes = -(-n // 8)
         self.chunked = len(self.cands) * self.nbytes * 256 <= TABLE_CAP
         if self.chunked:
-            self.tables = [_chunk_table(mul_rows, a, n) for a in self.cands]
+            self.tables = _int_tables(mul, np.asarray(self.cands, dtype=np.int64))
         else:
             bit_of = [1 << e for e in range(n)]
-            self.tables = [[bit_of[int(mul_rows[s][a])] for s in range(n)] for a in self.cands]
+            self.tables = [[bit_of[x] for x in col] for col in mul[:, list(self.cands)].T.tolist()]
 
     def children(self, state, parent, pairs):
         """Free (position, S'·a) pairs of S' = ``state``, from ``pairs`` of
@@ -267,6 +257,26 @@ def _step_tables(mul, cands, words: int):
     for k in range(8):  # entries 2^k .. 2^(k+1) - 1 add element 8c + k to entries 0 .. 2^k - 1
         np.bitwise_or(tab[:, :1 << k], elem[:, k, None], out=tab[:, 1 << k:2 << k])
     return tab
+
+
+def _int_tables(mul, cands) -> list[list[int]]:
+    """The step tables of ``_step_tables`` as Python-int masks, one flat list
+    per candidate with entry ``256*c + b`` for byte value b of byte c, built a
+    block of candidates at a time within ``TABLE_CAP`` words."""
+    n = len(mul)
+    words, chunks = -(-n // 64), -(-n // 8)
+    width = max(1, TABLE_CAP // (chunks * 256 * words))
+    out = []
+    for lo in range(0, len(cands), width):
+        tab = _step_tables(mul, cands[lo:lo + width], words)
+        for i in range(tab.shape[2]):
+            entries = tab[:, :, i].reshape(-1, words)
+            if words == 1:
+                out.append(entries.ravel().tolist())
+            else:  # a row's little-endian words are the mask's bytes
+                out.append([int.from_bytes(row, "little")
+                            for row in entries.view(f"V{8 * words}").ravel().tolist()])
+    return out
 
 
 def _semigroup_sizes(mul, cands):

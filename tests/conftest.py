@@ -14,6 +14,7 @@ import pytest
 from hypothesis import settings
 
 from ebring import AxiomViolation, Sequence, build_ring, idempotents, make_from_table, search
+from ebring.rings import additive_span, row_blocks
 
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None,
                           max_examples=20)
@@ -230,6 +231,53 @@ def exhaustive_validate(ring):
         if not np.array_equal(left, right):
             j, k = np.argwhere(left != right)[0]
             raise AxiomViolation("distributivity", (i, int(j), int(k)))
+
+
+def units_oracle(ring):
+    """Every x with x·y = 1 for some y, by scanning all n² products a block of
+    rows at a time: the reference for ``units``, which takes the complement
+    of the maximal ideals."""
+    x = ring.element_array()
+    hit = np.zeros(ring.order, dtype=bool)
+    for rows in row_blocks(ring.order, ring.order):
+        hit[rows] = (ring.vmul(x[rows, None], x[None, :]) == ring.one).any(axis=1)
+    return frozenset(np.flatnonzero(hit).tolist())
+
+
+def light_reference(ring):
+    """Light's test with each identity indexed directly, (x + g) + y against
+    x + (g + y) and so on, after the same pair checks: the reference for
+    ``validate_ring``, which gathers rows of the tables instead and must
+    raise the same AxiomViolation with the same witness."""
+    a, m = ring._add_t, ring._mul_t
+    n = ring.order
+    rng = np.arange(n)
+    for opname, t in (("addition", a), ("multiplication", m)):
+        if int(t.min()) < 0 or int(t.max()) >= n:
+            bad = np.argwhere((t < 0) | (t >= n))[0]
+            raise AxiomViolation(f"{opname} closure", (int(bad[0]), int(bad[1])))
+        if not np.array_equal(t, t.T):
+            bad = np.argwhere(t != t.T)[0]
+            raise AxiomViolation(f"{opname} commutativity", (int(bad[0]), int(bad[1])))
+    if ring.zero == ring.one:
+        raise AxiomViolation("distinct identities", (ring.zero,))
+    if not np.array_equal(a[ring.zero], rng):
+        j = int(np.argwhere(a[ring.zero] != rng)[0][0])
+        raise AxiomViolation("additive identity", (ring.zero, j))
+    if not np.array_equal(m[ring.one], rng):
+        j = int(np.argwhere(m[ring.one] != rng)[0][0])
+        raise AxiomViolation("multiplicative identity", (ring.one, j))
+    if not bool((a == ring.zero).any(axis=1).all()):
+        i = int(np.argwhere(~(a == ring.zero).any(axis=1))[0][0])
+        raise AxiomViolation("additive inverse", (i,))
+    for g in [ring.zero] + additive_span(ring, rng)[1]:
+        for axiom, left, right in (
+                ("addition associativity", a[a[:, g]], a[:, a[g]]),
+                ("multiplication associativity", m[m[:, g]], m[:, m[g]]),
+                ("distributivity", m[:, a[g]], a[m[:, g, None], m])):
+            if not np.array_equal(left, right):
+                x, y = np.argwhere(left != right)[0]
+                raise AxiomViolation(axiom, (int(x), g, int(y)))
 
 
 FAMILY_SPECS = (

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from ebring import (build_ring, crt_solve, ideal_generated_by,
-                    ideal_index, ideal_power, ideal_product, is_field,
-                    make_gf, make_poly_quotient, make_zmod, maximal_ideals,
-                    nilradical, power_chain, quotient_ring, unit_ideal)
+from ebring import (InternalConsistencyError, build_ring, crt_solve, gfpoly,
+                    ideal_generated_by, ideal_index, ideal_power, ideal_product,
+                    ideals, is_field, make_gf, make_poly_quotient, make_zmod,
+                    maximal_ideals, nilradical, power_chain, quotient_ring, rings,
+                    unit_ideal, units)
+from ebring.cli import FieldAtom, QuotientAtom, parse_ring_spec
 
-from conftest import family_ring, FAMILY_SPECS, is_valid_ideal
+from conftest import (RELABELLED, family_ring, FAMILY_SPECS, is_valid_ideal, relabel,
+                      units_oracle)
 
 
 def test_generated_by_even_residues():
@@ -277,22 +280,86 @@ def _maximal_by_extension(ring):
     return found
 
 
+def _check_structure(ring):
+    """Units, the field test and the maximal ideals against the O(n²) unit
+    scan and the maximal ideals found by extension."""
+    assert {m.members for m in maximal_ideals(ring)} == _maximal_by_extension(ring), ring.label
+    want = units_oracle(ring)
+    assert units(ring) == want, ring.label
+    assert is_field(ring) == (len(want) == ring.order - 1), ring.label
+
+
 def test_maximal_ideals_take_no_quotient_by_the_zero_ideal(monkeypatch):
-    """R/(0) is R: reduced rings and fields must not get a full copy built."""
-    from ebring import ideals
-    zero_quotients = []
-    original = ideals.quotient_ring
+    """Maximal ideals, units and the field test build no quotient ring at
+    all, by the zero ideal or any other, and agree with the oracles."""
+    def refuse(ring, ideal):
+        raise AssertionError(f"quotient of {ring.label} by {ideal.render()} built")
 
-    def spy(ring, ideal):
-        if ideal.is_zero:
-            zero_quotients.append(ring.label)
-        return original(ring, ideal)
-
-    monkeypatch.setattr(ideals, "quotient_ring", spy)
+    monkeypatch.setattr(ideals, "quotient_ring", refuse)
     for spec in FAMILY_SPECS:
-        r = build_ring(spec)
-        assert {m.members for m in maximal_ideals(r)} == _maximal_by_extension(r), spec
-    assert zero_quotients == []
+        _check_structure(build_ring(spec))
+
+
+def test_structure_matches_the_oracles_under_relabelling():
+    for seed in range(20):
+        ring = family_ring(RELABELLED[seed % 10])
+        perm = random.Random(seed).sample(range(ring.order), ring.order)
+        twin = relabel(ring, perm)
+        _check_structure(twin)
+        assert units(twin) == {perm[x] for x in units(ring)}
+
+
+def test_structure_matches_the_oracles_on_kernels(monkeypatch):
+    """Every single-atom family ring built above a TABLE_CAP of 1, its
+    coefficient fields built beforehand."""
+    bases = {q: make_gf(q) for q in (2, 3)}
+    monkeypatch.setattr(rings, "TABLE_CAP", 1)
+    monkeypatch.setattr(rings, "VALIDATION_CAP", 0)
+    for spec in FAMILY_SPECS:
+        atoms = parse_ring_spec(spec).atoms
+        if len(atoms) > 1:
+            continue  # products are refused above the table cap
+        (atom,) = atoms
+        if isinstance(atom, QuotientAtom):
+            ring = make_poly_quotient(bases[atom.q], atom.coeffs)
+        elif isinstance(atom, FieldAtom):
+            p, k = rings._prime_power(atom.q)
+            ring = (make_zmod(p) if k == 1
+                    else make_poly_quotient(bases[p], gfpoly.find_irreducible(bases[p], k)))
+        else:
+            ring = build_ring(spec)
+        assert ring._mul_t is None, spec
+        _check_structure(ring)
+
+
+def test_structure_above_the_table_cap():
+    ring = make_zmod(6000)
+    assert ring._mul_t is None
+    assert units(ring) == units_oracle(ring)
+    assert not is_field(ring)
+    assert [m.members for m in maximal_ideals(ring)] == [
+        frozenset(range(0, 6000, p)) for p in (2, 3, 5)]
+    assert is_field(make_zmod(4099))
+
+
+@pytest.mark.parametrize("spec, fake", [("Z/6", (0, 1)), ("Z/12", (0, 1)),
+                                        ("GF(2) x GF(2) x GF(2)", (0, 3, 7))])
+def test_maximal_ideals_refuse_a_non_primitive_idempotent(monkeypatch, spec, fake):
+    """Idempotents hidden from the search make a non-primitive one look
+    primitive; its ideal is not maximal, and the residue-field certificate
+    refuses it."""
+    monkeypatch.setattr(ideals, "idempotents", lambda ring: frozenset(fake))
+    with pytest.raises(InternalConsistencyError, match="non-field quotient"):
+        maximal_ideals(build_ring(spec))
+
+
+def test_units_refuse_a_non_unit(monkeypatch):
+    """With a maximal ideal left out, its members outside the others are
+    claimed as units, and the power certificate refuses them."""
+    full = ideals.maximal_ideals
+    monkeypatch.setattr(ideals, "maximal_ideals", lambda ring: full(ring)[:1])
+    with pytest.raises(InternalConsistencyError, match="unit certificate"):
+        units(make_zmod(6))
 
 
 def test_nilradical_matches_power_oracle():

@@ -10,7 +10,7 @@ from ebring import (AxiomViolation, FiniteRing, gfpoly, ideal_index, idempotents
 from ebring import rings
 from ebring.rings import MixedRadix, _prime_power, prime_factors
 
-from conftest import FAMILY_SPECS, exhaustive_validate, family_ring
+from conftest import FAMILY_SPECS, exhaustive_validate, family_ring, light_reference
 
 
 def test_zmod_smallest_field():
@@ -245,7 +245,7 @@ def _verdict(validator, ring):
     try:
         validator(ring)
     except AxiomViolation as exc:
-        return exc.axiom
+        return exc.axiom, exc.witness
     return None
 
 
@@ -255,16 +255,13 @@ def _symmetric_corruptions(ring):
             for i in range(n) for j in range(i, n) for v in range(n) if v != table[i, j]]
 
 
-def test_validator_agrees_with_exhaustive_oracle_on_corruptions():
-    """Every symmetric single-entry corruption of add or mul on rings of at most
-    five elements, a fixed-seed sample of them above, plus fixed-seed double
-    corruptions: the generator-based validator accepts exactly when the
-    O(n^3) oracle does."""
+def _corrupted_rings():
+    """(spec, corruption, ring): every symmetric single-entry corruption of add
+    or mul on rings of at most five elements, a fixed-seed sample of them
+    above, plus fixed-seed double corruptions."""
     rng = random.Random(4)
     specs = FAMILY_SPECS + ["Z/2 x Z/2", "Z/2 x GF(4)", "Z/3 x Z/3", "Z/2 x Z/2 x Z/2",
                             "Z/2 x Z/4"]
-    rejected_by = set()
-    cases = 0
     for spec in specs:
         ring = family_ring(spec)
         singles = _symmetric_corruptions(ring)
@@ -274,15 +271,30 @@ def test_validator_agrees_with_exhaustive_oracle_on_corruptions():
             tables = [ring._add_t.copy(), ring._mul_t.copy()]
             for t, i, j, v in pick:
                 tables[t][i, j] = tables[t][j, i] = v
-            bad = FiniteRing(ring.order, ring.zero, ring.one, "corrupted", tables=tables,
-                             validate=False)
-            new, old = _verdict(validate_ring, bad), _verdict(exhaustive_validate, bad)
-            assert (new is None) == (old is None), (spec, pick, new, old)
-            rejected_by.add(new)
-            cases += 1
+            yield spec, pick, FiniteRing(ring.order, ring.zero, ring.one, "corrupted",
+                                         tables=tables, validate=False)
+
+
+def test_validator_agrees_with_exhaustive_oracle_on_corruptions():
+    """On every corrupted ring the generator-based validator accepts exactly
+    when the O(n^3) oracle does."""
+    rejected_by = set()
+    cases = 0
+    for spec, pick, bad in _corrupted_rings():
+        new, old = _verdict(validate_ring, bad), _verdict(exhaustive_validate, bad)
+        assert (new is None) == (old is None), (spec, pick, new, old)
+        rejected_by.add(new and new[0])
+        cases += 1
     assert cases > 4000
     assert {"addition associativity", "multiplication associativity",
             "distributivity"} <= rejected_by
+
+
+def test_validator_row_gathers_keep_the_axiom_and_witness():
+    """On every corrupted ring the validator names the same axiom and the
+    same witness tuple as Light's test indexed directly."""
+    for spec, pick, bad in _corrupted_rings():
+        assert _verdict(validate_ring, bad) == _verdict(light_reference, bad), (spec, pick)
 
 
 def _relabeled_gf3():
