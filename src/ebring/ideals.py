@@ -203,15 +203,25 @@ def _residue_field_certified(ring, mask) -> bool:
     """Whether R/M is a field, M being the ideal masked by ``mask``: for
     q = |R/M|, some g has g^(q-1) in 1 + M but g^((q-1)/p) not in 1 + M for
     each prime p dividing q - 1. Then the class of g is a unit of order
-    q - 1, so its powers are the q - 1 nonzero classes, all units."""
+    q - 1, so its powers are the q - 1 nonzero classes, all units.
+
+    The elements outside M are tried in blocks of 1, 2, 4, ... up to the
+    first block holding such a g: a field has many primitive elements, and
+    when there is none the blocks together cost one pass over them all."""
     q = ring.order // int(np.count_nonzero(mask))
     everything = ring.element_array()
     near_one = mask[ring.vadd(everything, ring.vneg(ring.one))]  # x in 1 + M
-    g = everything[~mask]
-    found = near_one[vpower(ring.vmul, g, q - 1)]
-    for p, _ in prime_factors(q - 1):
-        found &= ~near_one[vpower(ring.vmul, g, (q - 1) // p)]
-    return bool(found.any())
+    outside = everything[~mask]
+    start = 0
+    while start < outside.size:
+        g = outside[start:2 * start + 1]
+        found = near_one[vpower(ring.vmul, g, q - 1)]
+        for p, _ in prime_factors(q - 1):
+            found &= ~near_one[vpower(ring.vmul, g, (q - 1) // p)]
+        if found.any():
+            return True
+        start = 2 * start + 1
+    return False
 
 
 def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -224,7 +234,16 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
     ideals with no quotient ring built. Each M_e is certified: its greedy
     generators generate exactly M_e, so it is an ideal; 1 is not in it; and
     R/M_e is a field by ``_residue_field_certified``.
+
+    Cached per ring once every certificate has passed, as (members,
+    generators) pairs; each call returns a fresh list of fresh ideals.
     """
+    if ring._maximal is None:
+        ring._maximal = _certified_maximal(ring)
+    return [Ideal(ring, members, gens) for members, gens in ring._maximal]
+
+
+def _certified_maximal(ring) -> list[tuple[frozenset[int], tuple[int, ...]]]:
     nil = _nil_mask(ring)
     everything = ring.element_array()
     idem = np.array(sorted(idempotents(ring) - {ring.zero}), dtype=np.int64)
@@ -235,13 +254,13 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
         mask = nil[ring.vmul(everything, e)]
         members = _members(mask)
         gens, generated = _greedy_generators(ring, members)
-        m = Ideal(ring, members, gens)
         if (not np.array_equal(generated, mask) or mask[ring.one]
                 or not _residue_field_certified(ring, mask)):
             raise InternalConsistencyError(
-                f"candidate maximal ideal {m.render()} has a non-field quotient")
-        found.append(m)
-    found.sort(key=lambda m: tuple(sorted(m.members)))
+                f"candidate maximal ideal {Ideal(ring, members, gens).render()} "
+                "has a non-field quotient")
+        found.append((members, gens))
+    found.sort(key=lambda m: tuple(sorted(m[0])))
     return found
 
 

@@ -9,12 +9,13 @@ against them.
 
 A constructor gives either operation tables or vectorized kernels (callables
 with the broadcasting behaviour of ``vadd``/``vmul``/``vneg``). Rings of up to
-``TABLE_CAP`` elements always hold full numpy tables, built from the kernels
-by array indexing, never by a per-element callback; above the cap the
-operations run on the kernels. Rings of order up to ``VALIDATION_CAP`` are
-checked against the ring axioms at construction time; structured backends
-above the cap are trusted by construction, while raw table input above the
-cap is rejected because it carries no correctness guarantee.
+``TABLE_CAP`` elements always hold full numpy tables, built by array indexing,
+never by a per-element callback: from the kernels, or for a product ring by
+broadcasting its factors' tables. Above the cap the operations run on the
+kernels. Rings of order up to ``VALIDATION_CAP`` are checked against the ring
+axioms at construction time; structured backends above the cap are trusted by
+construction, while raw table input above the cap is rejected because it
+carries no correctness guarantee.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class FiniteRing:
 
     Pass ``tables=(add, mul)`` (order-by-order index arrays) or
     ``kernels=(add, mul, neg)`` (vectorized callables; ``neg`` may be None
-    when the order is within ``TABLE_CAP``, since tables are built then).
+    within ``TABLE_CAP``, since tables are built then).
     """
 
     def __init__(self, order: int, zero: int, one: int, label: str, *,
@@ -57,6 +58,9 @@ class FiniteRing:
         self.label = label
         self._names = names
         self._units: frozenset[int] | None = None
+        # (members, generators) of each maximal ideal, not the Ideal objects:
+        # those point back at the ring and would keep it in a reference cycle
+        self._maximal: list[tuple[frozenset[int], tuple[int, ...]]] | None = None
         self._idempotents: frozenset[int] | None = None
         self._char: int | None = None
 
@@ -147,7 +151,9 @@ def row_blocks(rows: int, width: int):
 
 
 def _tabulate(order, kernel):
-    idx = np.arange(order, dtype=np.int64)
+    # int32 indices suffice, and keep the Z/n kernels in int32: within
+    # TABLE_CAP every i + j and i·j is below 2^24
+    idx = np.arange(order, dtype=np.int32)
     table = np.empty((order, order), dtype=np.int32)
     for rows in row_blocks(order, order):
         table[rows] = kernel(idx[rows, None], idx[None, :])
@@ -409,26 +415,27 @@ def make_poly_quotient(base: FiniteRing, f, label: str | None = None) -> FiniteR
 
 
 def make_product(factors: Seq[FiniteRing]) -> FiniteRing:
-    """Componentwise product ring on the Cartesian product of the factors."""
+    """Componentwise product ring on the Cartesian product of the factors.
+
+    The tables broadcast the factor tables: with x_0 varying fastest, each
+    factor's table scaled by the order so far is added, as an outer sum, to
+    the table of the earlier factors. Every factor is within ``TABLE_CAP``,
+    hence has tables, since the product is.
+    """
     if not factors:
         raise ValueError("a product ring needs at least one factor")
     codec = MixedRadix([f.order for f in factors])
     if codec.order > TABLE_CAP:
         raise ValueError(f"product order exceeds the cap {TABLE_CAP}")
-
-    def componentwise(op):
-        def kernel(x, y):
-            dx, dy = codec.digits(x), codec.digits(y)
-            # stacking on a leading axis copies whole blocks, unlike axis=-1
-            return codec.encode(np.moveaxis(np.stack([op(f, dx[..., k], dy[..., k])
-                                                      for k, f in enumerate(factors)]), 0, -1))
-        return kernel
-
+    add, mul = factors[0]._add_t, factors[0]._mul_t
+    for f in factors[1:]:
+        lo, hi = len(add), f.order
+        add = (f._add_t[:, None, :, None] * lo + add[None, :, None, :]).reshape(lo * hi, lo * hi)
+        mul = (f._mul_t[:, None, :, None] * lo + mul[None, :, None, :]).reshape(lo * hi, lo * hi)
     zero = int(codec.encode([f.zero for f in factors]))
     one = int(codec.encode([f.one for f in factors]))
     return FiniteRing(codec.order, zero, one, " x ".join(f.label for f in factors),
-                      kernels=(componentwise(FiniteRing.vadd),
-                               componentwise(FiniteRing.vmul), None),
+                      tables=(add, mul),
                       names=lambda i: _tuple_name(factors, codec.digits(i).tolist()))
 
 

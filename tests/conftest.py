@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ebring import AxiomViolation, Sequence, build_ring, idempotents, make_from_table, search
-from ebring.rings import additive_span, row_blocks
+from ebring import (AxiomViolation, FiniteRing, Sequence, build_ring, idempotents,
+                    make_from_table, search)
+from ebring.rings import MixedRadix, additive_span, row_blocks
 
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None,
                           max_examples=20)
@@ -242,6 +243,26 @@ def units_oracle(ring):
     for rows in row_blocks(ring.order, ring.order):
         hit[rows] = (ring.vmul(x[rows, None], x[None, :]) == ring.one).any(axis=1)
     return frozenset(np.flatnonzero(hit).tolist())
+
+
+def product_reference(factors):
+    """The add and mul tables, zero, one and element names of the product of
+    ``factors`` from the componentwise kernel: split the indices into digits,
+    apply each factor's ``vadd``/``vmul`` to its digits and re-encode. The
+    reference for ``make_product``, which broadcasts the factor tables."""
+    codec = MixedRadix([f.order for f in factors])
+    x = np.arange(codec.order)
+    dx, dy = codec.digits(x[:, None]), codec.digits(x[None, :])
+
+    def componentwise(op):
+        return codec.encode(np.stack([op(f, dx[..., k], dy[..., k])
+                                      for k, f in enumerate(factors)], axis=-1))
+
+    names = ["(" + ",".join(f.name(d) for f, d in zip(factors, digits)) + ")"
+             for digits in codec.digits(x).tolist()]
+    return (componentwise(FiniteRing.vadd), componentwise(FiniteRing.vmul),
+            int(codec.encode([f.zero for f in factors])),
+            int(codec.encode([f.one for f in factors])), names)
 
 
 def light_reference(ring):

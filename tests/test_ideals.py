@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -7,7 +9,7 @@ from ebring import (InternalConsistencyError, build_ring, crt_solve, gfpoly,
                     ideals, is_field, make_gf, make_poly_quotient, make_zmod,
                     maximal_ideals, nilradical, power_chain, quotient_ring, rings,
                     unit_ideal, units)
-from ebring.cli import FieldAtom, QuotientAtom, parse_ring_spec
+from ebring.cli import FieldAtom, QuotientAtom, parse_ring_spec, run
 
 from conftest import (RELABELLED, family_ring, FAMILY_SPECS, is_valid_ideal, relabel,
                       units_oracle)
@@ -360,6 +362,77 @@ def test_units_refuse_a_non_unit(monkeypatch):
     monkeypatch.setattr(ideals, "maximal_ideals", lambda ring: full(ring)[:1])
     with pytest.raises(InternalConsistencyError, match="unit certificate"):
         units(make_zmod(6))
+
+
+def test_invariants_certify_each_maximal_ideal_once(monkeypatch, capsys):
+    """The report and the unit group share one certified list per ring."""
+    calls = []
+    certify = ideals._residue_field_certified
+
+    def counted(ring, mask):
+        calls.append(ring.label)
+        return certify(ring, mask)
+
+    monkeypatch.setattr(ideals, "_residue_field_certified", counted)
+    assert run(["invariants", "Z/4 x GF(3) x Z/5"]) == 0
+    assert "maximal ideal" in capsys.readouterr().out
+    assert calls == ["Z/4 x GF(3) x Z/5"] * 3
+
+
+def test_maximal_ideals_are_fresh_on_each_call():
+    ring = build_ring("Z/12")
+    first = maximal_ideals(ring)
+    want = [(m.members, m.generators) for m in first]
+    first.pop()
+    first.append(unit_ideal(ring))
+    second = maximal_ideals(ring)
+    assert second is not first
+    assert [(m.members, m.generators) for m in second] == want
+
+
+def test_cached_structure_keeps_no_reference_cycle():
+    """The caches hold no ideal pointing back at the ring, so the ring is
+    freed by reference counting alone."""
+    gc.disable()
+    try:
+        ring = build_ring("GF(2)[x]/(x^2) x Z/9")
+        maximal_ideals(ring)
+        units(ring)
+        ref = weakref.ref(ring)
+        del ring
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_failed_certificate_is_not_cached(monkeypatch):
+    ring = build_ring("Z/12")
+    monkeypatch.setattr(ideals, "idempotents", lambda ring: frozenset((0, 1)))
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="non-field quotient"):
+            maximal_ideals(ring)
+    monkeypatch.undo()
+    assert [m.members for m in maximal_ideals(ring)] == [
+        frozenset(range(0, 12, 2)), frozenset(range(0, 12, 3))]
+
+
+def test_residue_certificate_tries_doubling_blocks(monkeypatch):
+    """No element of Z/16 passes for the zero ideal, whose quotient is no
+    field: every block, 1, 2, 4 and 8 elements, is tried, and the answer is
+    False. In GF(7) the second block holds the primitive element 3."""
+    sizes = []
+    power = ideals.vpower
+
+    def spy(vmul, x, k):
+        sizes.append((k, len(x)))
+        return power(vmul, x, k)
+
+    monkeypatch.setattr(ideals, "vpower", spy)
+    for n, want, blocks in ((16, False, [1, 2, 4, 8]), (7, True, [1, 2])):
+        ring = make_zmod(n)
+        sizes.clear()
+        assert ideals._residue_field_certified(ring, ideals._mask(ring, [0])) is want
+        assert [size for k, size in sizes if k == n - 1] == blocks, n
 
 
 def test_nilradical_matches_power_oracle():

@@ -10,7 +10,8 @@ from ebring import (AxiomViolation, FiniteRing, gfpoly, ideal_index, idempotents
 from ebring import rings
 from ebring.rings import MixedRadix, _prime_power, prime_factors
 
-from conftest import FAMILY_SPECS, exhaustive_validate, family_ring, light_reference
+from conftest import (FAMILY_SPECS, RELABELLED, exhaustive_validate, family_ring,
+                      light_reference, product_reference, relabel)
 
 
 def test_zmod_smallest_field():
@@ -134,6 +135,37 @@ def test_product_of_two_local_rings():
     assert [ideal_index(m) for m in maxi] == [2, 2]
 
 
+def _product_factors():
+    """Factor lists of two to four factors: the products among FAMILY_SPECS
+    and RELABELLED, wider ones, products of relabelled table rings, and one
+    product above VALIDATION_CAP, where no axiom check guards the tables."""
+    specs = [s for s in FAMILY_SPECS + RELABELLED if " x " in s]
+    specs += ["Z/2 x Z/3 x GF(4)", "GF(2) x Z/4 x Z/3 x GF(2)[x]/(x^2)",
+              "GF(2) x GF(2) x GF(2) x GF(2)", "Z/16 x GF(2)[x]/(x^3) x Z/5"]
+    for spec in specs:
+        yield [family_ring(atom) for atom in spec.split(" x ")]
+    rng = random.Random(13)
+    tables = [relabel(r, rng.sample(range(r.order), r.order))
+              for r in map(family_ring, ("Z/4", "GF(3)", "GF(2)[x]/(x^2)", "Z/2"))]
+    for k in (2, 3, 4):
+        yield tables[:k]
+    yield [tables[0], family_ring("Z/5"), tables[1]]
+
+
+def test_product_tables_match_the_componentwise_kernel():
+    orders = []
+    for factors in _product_factors():
+        ring = make_product(factors)
+        add, mul, zero, one, names = product_reference(factors)
+        label = ring.label
+        assert np.array_equal(ring._add_t, add), label
+        assert np.array_equal(ring._mul_t, mul), label
+        assert (ring.zero, ring.one) == (zero, one), label
+        assert [ring.name(i) for i in ring.elements] == names, label
+        orders.append(ring.order)
+    assert max(orders) > rings.VALIDATION_CAP
+
+
 def test_table_ring_round_trip():
     src = make_zmod(6)
     add = [[src.add(i, j) for j in range(6)] for i in range(6)]
@@ -239,6 +271,17 @@ def test_large_rings_fall_back_to_on_demand_ops():
     big = make_poly_quotient(make_gf(2), (1,) + (0,) * 12 + (1,))
     assert big.order == 8192
     assert big.mul(2, 2) == 4  # x * x = x^2
+
+
+def test_zmod_tables_in_int32_match_int64_arithmetic():
+    # _tabulate runs the kernels on int32 indices, so every i·j within the
+    # table cap must fit
+    assert (rings.TABLE_CAP - 1) ** 2 < 2 ** 31
+    for n in (720, 1000, 1024):
+        ring = make_zmod(n)
+        x = np.arange(n, dtype=np.int64)
+        assert np.array_equal(ring._add_t, np.add.outer(x, x) % n), n
+        assert np.array_equal(ring._mul_t, np.multiply.outer(x, x) % n), n
 
 
 def _verdict(validator, ring):
