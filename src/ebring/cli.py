@@ -224,14 +224,20 @@ def load_table_ring(path: str) -> FiniteRing:
     """Load the JSON table-ring document described in the module docstring."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    try:
-        n = int(doc["n"])
-        add = list(doc["add"])
-        mul = list(doc["mul"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"table ring file {path} needs integer n and arrays add, mul") from exc
+
+    def ints(value):
+        return isinstance(value, list) and all(type(v) is int for v in value)
+
+    if not (isinstance(doc, dict) and type(doc.get("n")) is int
+            and ints(doc.get("add")) and ints(doc.get("mul"))):
+        raise ValueError(f"table ring file {path} needs integer n and arrays add, mul "
+                         "of integers")
     names = doc.get("names")
-    return make_from_table(n, add, mul, names=names, label=f"table:{path}")
+    if names is not None and not (isinstance(names, list)
+                                  and all(isinstance(s, str) for s in names)):
+        raise ValueError(f"table ring file {path}: names must be an array of strings")
+    return make_from_table(doc["n"], doc["add"], doc["mul"], names=names,
+                           label=f"table:{path}")
 
 
 def build_ring(spec: RingSpec | str) -> FiniteRing:

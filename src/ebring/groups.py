@@ -143,9 +143,9 @@ def synthetic_group(spec) -> AbelianGroupView:
     for d in sizes:
         if d < 2:
             raise ValueError("cyclic factors must have order at least 2")
-    codec = MixedRadix(sizes)
-    if codec.order > 4096:
+    if math.prod(sizes) > 4096:
         raise ValueError("synthetic group order exceeds the cap 4096")
+    codec = MixedRadix(sizes)
 
     def vop(a, b):
         return codec.encode((codec.digits(a) + codec.digits(b)) % codec.sizes)

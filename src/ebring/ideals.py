@@ -152,10 +152,15 @@ def ideal_index(n: Ideal) -> int:
 
 
 def _nil_mask(ring) -> np.ndarray:
-    """Mask of the nilpotent elements. A nilpotent x has x^m = 0 for some
-    m <= order (its nonzero powers are distinct), so x is nilpotent iff
-    x^(2^k) = 0 for 2^k >= order: k squarings of the whole element array."""
-    return vpower(ring.vmul, ring.element_array(), 1 << (ring.order - 1).bit_length()) == ring.zero
+    """Mask of the nilpotent elements. If x^m = 0 and x^(m-1) != 0, the
+    ideals R, xR, ..., x^m R = 0 strictly decrease (x^i R = x^(i+1) R would
+    give x^i = x^(i+j) r^j for every j, so x^i = 0), and each is a proper
+    subgroup of the one before, at most half its size; x^(m-1) R has at least
+    two elements, so 2^m <= n, the order, and m <= floor(log2 n). Hence x is
+    nilpotent iff x^(2^k) = 0 for the least 2^k >= floor(log2 n): k squarings
+    of the whole element array."""
+    log_n = ring.order.bit_length() - 1
+    return vpower(ring.vmul, ring.element_array(), 1 << max(log_n - 1, 0).bit_length()) == ring.zero
 
 
 def nilradical(ring: FiniteRing) -> Ideal:

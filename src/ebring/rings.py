@@ -454,8 +454,11 @@ def make_from_table(n: int, add_table, mul_table, names: Seq[str] | None = None,
         raise ValueError("a unitary nonzero ring needs at least two elements")
     if n > VALIDATION_CAP:
         raise ValueError(f"table rings above {VALIDATION_CAP} elements cannot be validated")
-    add = np.asarray(add_table, dtype=np.int64)
-    mul = np.asarray(mul_table, dtype=np.int64)
+    try:
+        add = np.asarray(add_table, dtype=np.int64)
+        mul = np.asarray(mul_table, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("operation table entries must be element indices below n") from None
     if add.size != n * n or mul.size != n * n:
         raise ValueError("operation tables must have n*n entries")
     add = add.reshape(n, n)

@@ -102,9 +102,6 @@ PENDING_CAP = 1 << 24
 # The sweep's product sets are rows of little-endian words, so byte c of a
 # row's uint8 view holds the elements 8c .. 8c+7 on any host.
 _WORD = np.dtype("<u8")
-# Set bits of each byte value; np.bitwise_count needs numpy 2.0.
-_POP8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-_BYTE_SUM = np.uint64(0x0101010101010101)  # top byte of w * _BYTE_SUM is w's byte sum
 # The sweep's pending lengths and start positions: each is at most n.
 _SMALL = np.int16
 
@@ -291,10 +288,9 @@ def _semigroup_sizes(mul, cands):
 
 
 def _popcounts(rows):
-    """Set bits in each row of words: an 8-bit lookup over the bytes, summed
-    within each word by one multiply, since a word holds at most 64."""
-    per_word = (_POP8[rows.view(np.uint8)].view(_WORD) * _BYTE_SUM) >> np.uint64(56)
-    return per_word.sum(axis=1).astype(np.uint16)
+    """Set bits in each row of words. A row holds at most 32767 bits, as the
+    sweep takes at most that many elements, so the sum fits in uint16."""
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.uint16)
 
 
 def _changes(rows):
@@ -341,7 +337,8 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
     forbidden = sorted({int(e) for e in forbidden})
     forbidden_row = np.bitwise_or.reduce(_bit_rows(forbidden, words), axis=0)
     # a forbidden candidate is never a term of a free sequence
-    cands = np.setdiff1d(np.asarray(list(candidates), dtype=np.int64), forbidden)
+    # (a set difference, not np.setdiff1d, whose np.unique imports numpy.ma)
+    cands = np.array(sorted({int(a) for a in candidates}.difference(forbidden)), dtype=np.int64)
     cands = cands[np.lexsort((cands, _semigroup_sizes(mul, cands)))]
     width = max(1, TABLE_CAP // (chunks * 256 * words))
     blocks = [(lo, cands[lo:lo + width]) for lo in range(0, len(cands), width)]

@@ -1,13 +1,21 @@
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ebring import SpecParseError, build_ring, parse_group_spec, parse_ring_spec, report, serialize_report
 from ebring import search
-from ebring.cli import RingSpec, _build_parser, run
+from ebring.cli import BUDGET_ENV, RingSpec, _build_parser, run
 
 VALID_SPECS = (
     [f"Z/{n}" for n in range(2, 17)]
@@ -305,24 +313,43 @@ def test_ring_spec_dataclass_render():
     assert spec.render() == "Z/6 x GF(4)"
 
 
-def test_module_entry_point_runs_the_cli(capsys):
-    """`python -m ebring.cli` runs the CLI once, as __main__, in a fresh
-    interpreter that imports the ebring under test (as in criterion 10)."""
-    import os
-    import subprocess
-    import sys
-
+def _child_env():
+    """Environment for a fresh interpreter that imports the ebring under test."""
     import ebring
     import_dir = os.path.dirname(os.path.dirname(os.path.abspath(ebring.__file__)))
     pythonpath = os.pathsep.join(p for p in (import_dir, os.environ.get("PYTHONPATH")) if p)
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath}
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    """`python -m ebring.cli` runs the CLI once, as __main__, in a fresh
+    interpreter that imports the ebring under test (as in criterion 10)."""
     argv = ["davenport", "Z2xZ4", "--json"]
     assert run(argv) == 0
     expected = capsys.readouterr().out
     proc = subprocess.run([sys.executable, "-m", "ebring.cli", *argv], capture_output=True,
-                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath})
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected.encode()
     assert proc.stderr == b""  # no runpy warning about a second copy of the module
+
+
+def test_cli_never_imports_numpy_ma():
+    """np.unique (and np.setdiff1d, which calls it) imports numpy.ma, about
+    2 MiB, on first use. The exact sweep, the group-mode sweep and the
+    structure code run without it, in a fresh interpreter."""
+    argvs = [["invariants", "Z/12", "--exact", "--json"],
+             ["davenport", "Z2 x Z2 x Z6", "--json"],
+             ["crosscheck", "int", "720"]]
+    script = (
+        "import contextlib, io, sys\n"
+        "from ebring.cli import run\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_verify_builds_the_construction_once(capsys, monkeypatch):
@@ -399,3 +426,73 @@ def test_cyclic_unit_groups_above_the_search_cap(spec, moduli, capsys, monkeypat
     for a in terms:
         products |= {a} | {tuple(x * y % m for x, y, m in zip(s, a, moduli)) for s in products}
     assert one not in products
+
+
+# CLI fuzzing over a small grammar of ring and group specs, malformed ones
+# included; the atoms stay small, so each command runs in milliseconds. The
+# atom "table:TABLE" names a file holding the drawn table document.
+_COEFF = st.sampled_from(["", "0", "1", "2", "3"])
+_TERM = st.one_of(st.integers(0, 4).map(str),
+                  st.builds("{}x{}".format, _COEFF, st.sampled_from(["", "^0", "^2"])))
+_POLY = st.lists(_TERM, min_size=1, max_size=3).map("+".join)
+_RING_ATOM = st.one_of(
+    st.integers(2, 10).map("Z/{}".format),
+    st.sampled_from([2, 3, 4, 5, 7, 8, 9]).map("GF({})".format),
+    st.builds("GF({})[x]/({})".format, st.sampled_from([2, 3, 4]), _POLY),
+    st.sampled_from(["table:TABLE", "Z/0", "Z/1", "Z/-3", "GF(0)", "GF(1)", "GF(6)", "GF(-2)",
+                     "GF(6)[x]/(x^2)", "GF(3)[x]/(2x^2+1)", "table:/nonexistent/ring.json",
+                     "table:", "Z/", "Z12", "GF(4", "Q/5", ""]))
+_RING = st.lists(_RING_ATOM, min_size=1, max_size=2).map(" x ".join)
+_GROUP_ATOM = st.one_of(st.integers(1, 5).map("Z{}".format),
+                        st.sampled_from(["Z0", "Z-2", "Z", "Z/4", "Y3", "", f"Z{10 ** 23}"]))
+_GROUP = st.lists(_GROUP_ATOM, min_size=1, max_size=3).map(" x ".join)
+_BUDGET = st.one_of(st.just([]), st.integers(-1, 1000).map(lambda b: ["--budget", str(b)]))
+_FLAGS = st.lists(st.sampled_from(["--exact", "--json"]), unique=True)
+_ARGV = st.one_of(
+    st.builds(lambda r, f, b: ["invariants", r, *f, *b], _RING, _FLAGS, _BUDGET),
+    st.builds(lambda r, f, b: ["construct", r, *f, *b], _RING,
+              st.sampled_from([[], ["--json"]]), _BUDGET),
+    st.builds(lambda r, b: ["verify", r, *b], _RING, _BUDGET),
+    st.builds(lambda r, w: ["inspect", r, w], _RING,
+              st.sampled_from(["units", "idempotents", "maxideals", "nilradical", "all"])),
+    st.builds(lambda g, f, b: ["davenport", g, *f, *b], _GROUP,
+              st.sampled_from([[], ["--json"]]), _BUDGET),
+    st.builds(lambda n: ["crosscheck", "int", n],
+              st.one_of(st.integers(-3, 200).map(str), st.just("twelve"))),
+    st.builds(lambda q, f: ["crosscheck", "poly", q, f],
+              st.sampled_from(["0", "1", "2", "3", "4", "6", "x"]), _POLY),
+)
+_Z2 = {"n": 2, "add": [0, 1, 1, 0], "mul": [0, 0, 0, 1]}
+_ENTRY = st.one_of(st.integers(-1, 2), st.sampled_from([0.5, True, None, "1", [0], 10 ** 30]))
+_TABLE = st.one_of(
+    st.just(_Z2),
+    st.fixed_dictionaries(
+        {"n": st.one_of(st.integers(-1, 3), st.sampled_from(["2", 2.5, True, None, float("inf")]))},
+        optional={"add": st.one_of(st.lists(_ENTRY, max_size=9), st.sampled_from([5, "0110"])),
+                  "mul": st.one_of(st.lists(_ENTRY, max_size=9), st.sampled_from([5, "0001"])),
+                  "names": st.one_of(st.lists(st.sampled_from(["a", "b", 0]), max_size=3),
+                                     st.sampled_from([5, "ab"]))}))
+
+
+@settings(max_examples=300)
+@given(_ARGV, _TABLE)
+@example(["davenport", f"Z{10 ** 23}"], _Z2)
+@example(["inspect", "table:TABLE", "units"], {**_Z2, "names": 5})
+@example(["inspect", "table:TABLE", "units"], {**_Z2, "names": [0, 1]})
+@example(["invariants", "table:TABLE"], {**_Z2, "add": [0, 1, 1, None]})
+@example(["invariants", "table:TABLE"], {**_Z2, "add": [0, 1, 1, 10 ** 30]})
+@example(["invariants", "table:TABLE"], {**_Z2, "n": float("inf")})
+def test_cli_exits_with_a_code_on_any_spec(argv, table):
+    """Every command line of the grammar ends in an exit code (0 ok, 1
+    failed check, 2 bad input, 3 refused or over budget), not a traceback.
+    The examples raised OverflowError or TypeError before."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ring.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(table, fh)
+        argv = [a.replace("table:TABLE", f"table:{path}") for a in argv]
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            os.environ.pop(BUDGET_ENV, None)
+            code = run(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -435,18 +435,34 @@ def test_residue_certificate_tries_doubling_blocks(monkeypatch):
         assert [size for k, size in sizes if k == n - 1] == blocks, n
 
 
+def _nilpotency_index(r, x):
+    """The least m with x^m = 0, or None, by one multiplication at a time."""
+    acc = x
+    for m in range(1, r.order + 1):
+        if acc == r.zero:
+            return m
+        acc = r.mul(acc, x)
+    return None
+
+
 def test_nilradical_matches_power_oracle():
     for spec in FAMILY_SPECS + ["Z/72", "GF(2)[x]/(x^4+x^2)", "GF(3)[x]/(x^3+x^2)"]:
         r = build_ring(spec)
-        expected = set()
-        for x in r.elements:
-            acc = x
-            for _ in range(r.order):
-                if acc == r.zero:
-                    expected.add(x)
-                    break
-                acc = r.mul(acc, x)
+        expected = {x for x in r.elements if _nilpotency_index(r, x) is not None}
         assert nilradical(r).members == frozenset(expected)
+
+
+@pytest.mark.parametrize("spec, name", [("GF(2)[x]/(x^8)", "x"), ("Z/256", "2")])
+def test_nilradical_reaches_the_largest_nilpotency_index(spec, name):
+    """A nilpotent element of a ring of n elements has index at most log2 n;
+    these two reach it (x^8 = 0 != x^7 in 256 elements), so a mask that
+    squared once less, up to x^4, would miss them."""
+    r = build_ring(spec)
+    x = next(i for i in r.elements if r.name(i) == name)
+    assert _nilpotency_index(r, x) == 8
+    expected = {y for y in r.elements if _nilpotency_index(r, y) is not None}
+    assert x in expected
+    assert nilradical(r).members == frozenset(expected)
 
 
 def _naive_quotient(ring, ideal):

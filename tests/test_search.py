@@ -36,6 +36,22 @@ def test_sweep_refuses_more_elements_than_int16_holds():
         search.longest_free_length(rows, [1], {0})
 
 
+@pytest.mark.parametrize("words", [1, 2, 3, 512])
+def test_popcounts_match_int_bit_count(words):
+    """Random rows, all-ones words and the all-zero row. At 512 words, the
+    widest rows of the sweep (32767 elements), counts pass 255, so a sum
+    narrower than uint16 would wrap."""
+    rng = np.random.default_rng(words)
+    rows = rng.integers(0, 1 << 64, size=(40, words), dtype=np.uint64)
+    rows[0] = 0
+    rows[1] = ~np.uint64(0)
+    rows[2, ::2] = ~np.uint64(0)
+    rows[3] = ~np.uint64(0)
+    rows[3, -1] >>= np.uint64(1 if words == 512 else 0)  # 32767 bits at 512 words
+    expected = [sum(w.bit_count() for w in row) for row in rows.tolist()]
+    assert search._popcounts(rows.astype(search._WORD)).tolist() == expected
+
+
 # each search returns its witness terms; davenport on a group of rank two
 # cuts the same search at the theorem's ceiling D* - 1
 @pytest.mark.parametrize("search_fn, nodes, witness", [
