@@ -47,7 +47,7 @@ def test_popcounts_match_int_bit_count(words):
     rows[1] = ~np.uint64(0)
     rows[2, ::2] = ~np.uint64(0)
     rows[3] = ~np.uint64(0)
-    rows[3, -1] >>= np.uint64(1 if words == 512 else 0)  # 32767 bits at 512 words
+    rows[3, -1] >>= np.uint64(1)  # 64 * words - 1 bits: 32767 at 512 words
     expected = [sum(w.bit_count() for w in row) for row in rows.tolist()]
     assert search._popcounts(rows.astype(search._WORD)).tolist() == expected
 
