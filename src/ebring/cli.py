@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused, SpecParseError
 from .rings import (FiniteRing, make_from_table, make_gf, make_poly_quotient,
-                    make_product, make_zmod, idempotents, _prime_power)
+                    make_product, make_zmod, idempotents, _field_prime_power)
 from .ideals import ideal_index, maximal_ideals, nilradical, units
 from .groups import davenport, synthetic_group
 from .sequences import is_idempotent_product_free
@@ -129,7 +129,18 @@ class _Scanner:
         return int(self.text[start:self.pos]), start
 
 
-def _parse_poly(sc: _Scanner, char: int) -> tuple[int, ...]:
+def _field_char(q: int, text: str, pos: int) -> int:
+    """The characteristic of GF(q), q read from ``text`` at ``pos``."""
+    pk = _field_prime_power(q)
+    if pk is None:
+        raise SpecParseError(f"{q} is not a prime power", text, pos)
+    return pk[0]
+
+
+def _parse_poly(sc: _Scanner, char: int, too_large) -> tuple[int, ...]:
+    """Coefficients of a monic polynomial over GF(char), ascending. A degree
+    above 62 puts q^deg past 2^62 for every q, so it is refused, with the
+    message ``too_large(deg)``, before deg + 1 coefficients are built."""
     by_degree: dict[int, int] = {}
     span_of: dict[int, int] = {}
     poly_start = sc.pos
@@ -164,6 +175,8 @@ def _parse_poly(sc: _Scanner, char: int) -> tuple[int, ...]:
     if reduced[deg] != 1:
         raise SpecParseError(f"leading coefficient {reduced[deg]} is not 1 after reduction",
                              sc.text, span_of[deg])
+    if deg > 62:
+        raise ValueError(too_large(deg))
     return tuple(reduced.get(d, 0) for d in range(deg + 1))
 
 
@@ -174,12 +187,10 @@ def _parse_atom(sc: _Scanner):
         return ZmodAtom(n)
     if sc.try_lit("GF("):
         q, qpos = sc.nat("a field order")
-        pk = _prime_power(q)
-        if pk is None:
-            raise SpecParseError(f"{q} is not a prime power", sc.text, qpos)
+        char = _field_char(q, sc.text, qpos)
         sc.expect_lit(")", "')'")
         if sc.try_lit("[x]/("):
-            coeffs = _parse_poly(sc, pk[0])
+            coeffs = _parse_poly(sc, char, lambda d: f"quotient order {q}^{d} exceeds 2^62")
             sc.expect_lit(")", "')' closing the modulus polynomial")
             return QuotientAtom(q, coeffs)
         return FieldAtom(q)
@@ -225,8 +236,8 @@ def load_table_ring(path: str) -> FiniteRing:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
 
-    def ints(value):
-        return isinstance(value, list) and all(type(v) is int for v in value)
+    def ints(value):  # type(v) is int for every entry, so bools and floats are refused
+        return isinstance(value, list) and set(map(type, value)) <= {int}
 
     if not (isinstance(doc, dict) and type(doc.get("n")) is int
             and ints(doc.get("add")) and ints(doc.get("mul"))):
@@ -425,11 +436,9 @@ def _cmd_crosscheck(args) -> int:
         if len(args.values) != 2:
             raise SpecParseError("crosscheck poly needs Q and F", " ".join(args.values), 0)
         q = int(args.values[0])
-        pk = _prime_power(q)
-        if pk is None:
-            raise SpecParseError(f"{q} is not a prime power", args.values[0], 0)
+        char = _field_char(q, args.values[0], 0)
         sc = _Scanner(args.values[1])
-        coeffs = _parse_poly(sc, pk[0])
+        coeffs = _parse_poly(sc, char, lambda d: "quotient order exceeds the cap")
         if not sc.at_end():
             raise SpecParseError("unexpected trailing input", args.values[1], sc.pos)
         record = dedekind_crosscheck_poly(q, coeffs)

@@ -151,10 +151,8 @@ def exact_eb(ring: FiniteRing, *, budget: int | None = None) -> int:
     elements need a node budget, which counts the product sets expanded."""
     if ring.order > EB_SEARCH_CAP and budget is None:
         raise SearchRefused(f"ring order {ring.order} exceeds the exact search cap {EB_SEARCH_CAP}")
-    if ring._mul_t is None:
-        raise ValueError("exact search needs materialized operation tables")
     try:
-        return longest_free_length(ring._mul_t, range(ring.order), idempotents(ring),
+        return longest_free_length(ring.tables()[1], range(ring.order), idempotents(ring),
                                    budget=budget) + 1
     except BudgetExceeded as exc:
         raise exc.within(f"exact sweep of {ring.label}") from None
@@ -396,8 +394,11 @@ def _factor_coincidence(ring, modulus, factors, residue, render) -> CoincidenceR
     """Match each factor g of multiplicity k to the maximal ideal (g) of the
     ring, check Ind((g)) = k, that every maximal ideal is matched, and that
     the index sum equals the multiplicity excess; then build the record.
-    ``residue(g)`` is g as a ring element, ``render(g)`` its name."""
+    ``residue(g)`` is g as a ring element, ``render(g)`` its name. ``factors``
+    may be lazy: it is read after the maximal ideals, which refuse a ring
+    past the array cap, so such a modulus is never factored."""
     maxi = maximal_ideals(ring)
+    factors = list(factors)
     indices = [ideal_index(m) for m in maxi]
     per_prime = []
     seen = set()
@@ -428,7 +429,7 @@ def dedekind_crosscheck_int(n: int) -> CoincidenceRecord:
     equals the multiplicity excess of n."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    return _factor_coincidence(make_zmod(n), str(n), list(prime_factors(n)),
+    return _factor_coincidence(make_zmod(n), str(n), prime_factors(n),
                                lambda p: p % n, str)
 
 

@@ -4,7 +4,7 @@ maximal ideals, units, quotient rings and coset-intersection CRT solving.
 All operations are pure functions of immutable inputs. ``Ideal.members`` is
 a frozenset, but the work is done on boolean membership masks and index
 arrays through the ring's vectorized ``vadd``/``vmul``, so the same code runs
-on tables and, above the table cap, on the constructors' kernels. Additive
+on a ring's tables where it holds them and on its kernels otherwise. Additive
 closures come from ``rings.additive_span``: each enlarging seed adds its
 cosets in doubling steps.
 
@@ -196,11 +196,10 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, list[int]
                                lambda i, j: theta[ring.vmul(reps[i], reps[j])],
                                lambda i: theta[ring.vneg(reps[i])]),
                       names=lambda i: ring.name(int(reps[i])))
-    if ring.order <= VALIDATION_CAP and ring._add_t is not None and quot._add_t is not None:
-        if not np.array_equal(theta[ring._add_t], quot._add_t[theta[:, None], theta]):
-            raise InternalConsistencyError("projection does not respect addition")
-        if not np.array_equal(theta[ring._mul_t], quot._mul_t[theta[:, None], theta]):
-            raise InternalConsistencyError("projection does not respect multiplication")
+    if ring.order <= VALIDATION_CAP:
+        for opname, t, qt in zip(("addition", "multiplication"), ring.tables(), quot.tables()):
+            if not np.array_equal(theta[t], qt[theta[:, None], theta]):
+                raise InternalConsistencyError(f"projection does not respect {opname}")
     return quot, theta.tolist()
 
 
@@ -274,8 +273,9 @@ def units(ring: FiniteRing) -> frozenset[int]:
     maximal ideal, as a member of a proper ideal is never a unit. Each is
     certified by x^|U| = 1, which makes x a unit. Cached per ring."""
     if ring._units is None:
+        maxi = maximal_ideals(ring)  # refuses orders past the array cap first
         outside = np.ones(ring.order, dtype=bool)
-        for m in maximal_ideals(ring):
+        for m in maxi:
             outside[_array(m.members)] = False
         claimed = np.flatnonzero(outside)
         if not (vpower(ring.vmul, claimed, claimed.size) == ring.one).all():

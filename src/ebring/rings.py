@@ -8,12 +8,15 @@ index arrays and broadcast like numpy ufuncs; the ideal layer is written
 against them.
 
 A constructor gives either operation tables or vectorized kernels (callables
-with the broadcasting behaviour of ``vadd``/``vmul``/``vneg``). Rings of up to
-``TABLE_CAP`` elements always hold full numpy tables, built by array indexing,
-never by a per-element callback: from the kernels, or for a product ring by
-broadcasting its factors' tables. Above the cap the operations run on the
-kernels. Rings of order up to ``VALIDATION_CAP`` are checked against the ring
-axioms at construction time; structured backends above the cap are trusted by
+with the broadcasting behaviour of ``vadd``/``vmul``/``vneg``). A ring built
+from kernels computes on them and tabulates them, by array indexing, only when
+something reads its tables through ``FiniteRing.tables``: validation, the
+exact search, a product ring or a polynomial quotient over it. Tables are
+refused above ``TABLE_CAP`` elements. Polynomial quotients and product rings
+within the cap are built with their tables, filled from the base tables or
+broadcast from the factors' tables, never by a per-element callback. Rings of
+order up to ``VALIDATION_CAP`` are checked against the ring axioms at
+construction time; structured backends above the cap are trusted by
 construction, while raw table input above the cap is rejected because it
 carries no correctness guarantee.
 """
@@ -42,8 +45,7 @@ class FiniteRing:
     """A finite commutative unitary ring with elements indexed 0..order-1.
 
     Pass ``tables=(add, mul)`` (order-by-order index arrays) or
-    ``kernels=(add, mul, neg)`` (vectorized callables; ``neg`` may be None
-    within ``TABLE_CAP``, since tables are built then).
+    ``kernels=(add, mul, neg)`` (vectorized callables).
     """
 
     def __init__(self, order: int, zero: int, one: int, label: str, *,
@@ -64,22 +66,32 @@ class FiniteRing:
         self._idempotents: frozenset[int] | None = None
         self._char: int | None = None
 
-        if tables is None and order <= TABLE_CAP:
-            tables = (_tabulate(order, kernels[0]), _tabulate(order, kernels[1]))
+        self._add_t = self._mul_t = self._neg_t = None
         if tables is not None:
-            self._add_t, self._mul_t = (np.asarray(t, dtype=np.int32).reshape(order, order)
-                                        for t in tables)
+            self._set_tables(*tables)
         else:
             if kernels[2] is None:
-                raise ValueError("rings beyond the table cap need an explicit negation")
-            self._add_t = self._mul_t = self._neg_t = None
+                raise ValueError("rings on kernels need an explicit negation")
             self._add_k, self._mul_k, self._neg_k = kernels
 
         if validate and order <= VALIDATION_CAP:
             validate_ring(self)
 
-        if self._add_t is not None:
-            self._neg_t = np.argmax(self._add_t == zero, axis=1).astype(np.int32)
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (add, mul) operation tables as int32 arrays, tabulated from the
+        kernels on the first call; refused above ``TABLE_CAP`` elements."""
+        if self._add_t is None:
+            if self.order > TABLE_CAP:
+                raise ValueError(f"{self.label} has {self.order} elements, "
+                                 f"beyond the table cap {TABLE_CAP}")
+            self._set_tables(_tabulate(self.order, self._add_k),
+                             _tabulate(self.order, self._mul_k))
+        return self._add_t, self._mul_t
+
+    def _set_tables(self, add, mul):
+        self._add_t, self._mul_t = (np.asarray(t, dtype=np.int32).reshape(self.order, self.order)
+                                    for t in (add, mul))
+        self._neg_t = np.argmax(self._add_t == self.zero, axis=1).astype(np.int32)
 
     # vectorized operations ------------------------------------------------
 
@@ -210,11 +222,9 @@ def validate_ring(ring: FiniteRing) -> None:
     from the flat + table. Each compared array equals the direct one entry
     by entry, so the first failing (x, g, y) is the same.
 
-    Requires materialized tables, so it only applies up to the table cap.
+    Reads the tables, so it only applies up to the table cap.
     """
-    a, m = ring._add_t, ring._mul_t
-    if a is None or m is None:
-        raise ValueError("cannot validate a ring without tables")
+    a, m = ring.tables()
     n = ring.order
     rng = np.arange(n)
     for opname, t in (("addition", a), ("multiplication", m)):
@@ -307,14 +317,20 @@ def _zmod(n, label):
                                                lambda x: -x % n))
 
 
+def _field_prime_power(q):
+    """``_prime_power(q)`` for a field order q; an order above
+    ``VALIDATION_CAP`` is refused before any trial division."""
+    if q > VALIDATION_CAP:
+        raise ValueError(f"field order {q} exceeds the cap {VALIDATION_CAP}")
+    return _prime_power(q)
+
+
 def make_gf(q: int) -> FiniteRing:
     """The finite field with q elements; q must be a prime power within
     ``VALIDATION_CAP``."""
-    pk = _prime_power(q)
+    pk = _field_prime_power(q)
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
-    if q > VALIDATION_CAP:
-        raise ValueError(f"field order {q} exceeds the cap {VALIDATION_CAP}")
     p, k = pk
     if k == 1:
         return _zmod(p, f"GF({p})")
@@ -349,10 +365,8 @@ def make_poly_quotient(base: FiniteRing, f, label: str | None = None) -> FiniteR
     order = q ** d
     if order > 1 << 62:
         raise ValueError(f"quotient order {q}^{d} exceeds 2^62")
-    if base._add_t is None:
-        raise ValueError("base field is too large to serve as a coefficient field")
-
-    badd, bmul, bneg = base._add_t, base._mul_t, base._neg_t
+    badd, bmul = base.tables()
+    bneg = base._neg_t
     bzero, bone = base.zero, base.one
     codec = MixedRadix([q] * d)
     digits, encode = codec.digits, codec.encode
@@ -420,18 +434,19 @@ def make_product(factors: Seq[FiniteRing]) -> FiniteRing:
     The tables broadcast the factor tables: with x_0 varying fastest, each
     factor's table scaled by the order so far is added, as an outer sum, to
     the table of the earlier factors. Every factor is within ``TABLE_CAP``,
-    hence has tables, since the product is.
+    so its tables can be read, since the product is.
     """
     if not factors:
         raise ValueError("a product ring needs at least one factor")
-    codec = MixedRadix([f.order for f in factors])
-    if codec.order > TABLE_CAP:
+    if math.prod(f.order for f in factors) > TABLE_CAP:  # before the int64 codec
         raise ValueError(f"product order exceeds the cap {TABLE_CAP}")
-    add, mul = factors[0]._add_t, factors[0]._mul_t
+    codec = MixedRadix([f.order for f in factors])
+    add, mul = factors[0].tables()
     for f in factors[1:]:
         lo, hi = len(add), f.order
-        add = (f._add_t[:, None, :, None] * lo + add[None, :, None, :]).reshape(lo * hi, lo * hi)
-        mul = (f._mul_t[:, None, :, None] * lo + mul[None, :, None, :]).reshape(lo * hi, lo * hi)
+        f_add, f_mul = f.tables()
+        add = (f_add[:, None, :, None] * lo + add[None, :, None, :]).reshape(lo * hi, lo * hi)
+        mul = (f_mul[:, None, :, None] * lo + mul[None, :, None, :]).reshape(lo * hi, lo * hi)
     zero = int(codec.encode([f.zero for f in factors]))
     one = int(codec.encode([f.one for f in factors]))
     return FiniteRing(codec.order, zero, one, " x ".join(f.label for f in factors),
@@ -468,15 +483,15 @@ def make_from_table(n: int, add_table, mul_table, names: Seq[str] | None = None,
         bad = np.argwhere((t < 0) | (t >= n))[0]
         raise AxiomViolation("closure", (int(bad[0]), int(bad[1])))
     rng = np.arange(n)
-    zeros = [i for i in range(n) if np.array_equal(add[i], rng)]
-    if not zeros:
+    zeros = (add == rng).all(axis=1)
+    if not zeros.any():
         raise AxiomViolation("additive identity", ())
-    ones = [i for i in range(n) if np.array_equal(mul[i], rng)]
-    if not ones:
+    ones = (mul == rng).all(axis=1)
+    if not ones.any():
         raise AxiomViolation("multiplicative identity", ())
     if names is not None and len(names) != n:
         raise ValueError("names must list one string per element")
-    return FiniteRing(n, zeros[0], ones[0], label, tables=(add, mul),
+    return FiniteRing(n, int(np.argmax(zeros)), int(np.argmax(ones)), label, tables=(add, mul),
                       names=list(names) if names is not None else None)
 
 

@@ -376,6 +376,47 @@ def test_huge_rings_are_refused_not_enumerated(capsys):
     assert "exceeds 2^62" in capsys.readouterr().err
 
 
+_HUGE = "9" * 23
+_PAST_ARRAY_CAP = (f"error: Z/{_HUGE} has more than 16777216 elements; "
+                   "queries over every element are limited to that order\n")
+
+
+def test_huge_numbers_are_refused_from_their_size():
+    """Field orders past 512 are refused before trial division, moduli past
+    the array cap before factoring or allocating, and degrees past 62 before
+    a coefficient per degree is built: each command exits 2 at once. Before,
+    the first five ran for minutes and the last two printed numpy's error and
+    a traceback."""
+    cases = [
+        (["invariants", "GF(2305843009213693951)"],
+         "error: field order 2305843009213693951 exceeds the cap 512\n"),
+        (["crosscheck", "poly", "2305843009213693951", "x^2"],
+         "error: field order 2305843009213693951 exceeds the cap 512\n"),
+        (["crosscheck", "int", _HUGE], _PAST_ARRAY_CAP),
+        (["invariants", "GF(2)[x]/(x^99999999999999999999)"],
+         "error: quotient order 2^99999999999999999999 exceeds 2^62\n"),
+        (["crosscheck", "poly", "2", "x^99999999999999999999"],
+         "error: quotient order exceeds the cap\n"),
+        (["inspect", f"Z/{_HUGE}", "units"], _PAST_ARRAY_CAP),
+        (["invariants", f"Z/{_HUGE} x Z/2"], "error: product order exceeds the cap 4096\n"),
+        (["invariants", "GF(1000)"], "error: field order 1000 exceeds the cap 512\n"),
+    ]
+    script = (
+        "import contextlib, io, json\n"
+        "from ebring.cli import run\n"
+        "results = []\n"
+        f"for argv in {[argv for argv, _ in cases]!r}:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        results.append([run(argv), out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(results))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=_child_env(), timeout=10)
+    assert proc.returncode == 0, proc.stderr.decode()
+    got = json.loads(proc.stdout)
+    assert got == [[2, "", err] for _, err in cases]
+
+
 def test_negative_budget_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.delenv("EBRING_BUDGET", raising=False)
     for argv in (["invariants", "Z/12"], ["construct", "Z/12"], ["davenport", "Z4xZ4"],

@@ -315,10 +315,10 @@ def test_structure_matches_the_oracles_on_kernels(monkeypatch):
     """Every single-atom family ring built above a TABLE_CAP of 1, its
     coefficient fields built beforehand."""
     bases = {q: make_gf(q) for q in (2, 3)}
+    parsed = [(spec, parse_ring_spec(spec).atoms) for spec in FAMILY_SPECS]
     monkeypatch.setattr(rings, "TABLE_CAP", 1)
     monkeypatch.setattr(rings, "VALIDATION_CAP", 0)
-    for spec in FAMILY_SPECS:
-        atoms = parse_ring_spec(spec).atoms
+    for spec, atoms in parsed:
         if len(atoms) > 1:
             continue  # products are refused above the table cap
         (atom,) = atoms

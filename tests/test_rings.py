@@ -3,11 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from ebring import (AxiomViolation, FiniteRing, gfpoly, ideal_index, idempotents,
-                    inverse, is_field, make_from_table, make_gf, make_poly_quotient,
-                    make_product, make_zmod, maximal_ideals, nilradical,
+from ebring import (AxiomViolation, BudgetExceeded, FiniteRing, exact_eb, gfpoly,
+                    ideal_index, idempotents, inverse, is_field, make_from_table, make_gf,
+                    make_poly_quotient, make_product, make_zmod, maximal_ideals, nilradical,
                     units, validate_ring)
 from ebring import rings
+from ebring.cli import run
 from ebring.rings import MixedRadix, _prime_power, prime_factors
 
 from conftest import (FAMILY_SPECS, RELABELLED, exhaustive_validate, family_ring,
@@ -274,14 +275,69 @@ def test_large_rings_fall_back_to_on_demand_ops():
 
 
 def test_zmod_tables_in_int32_match_int64_arithmetic():
+    """Above VALIDATION_CAP, Z/n computes on its kernels until its tables are
+    read; kernels, tables and int64 arithmetic agree on every pair."""
     # _tabulate runs the kernels on int32 indices, so every i·j within the
     # table cap must fit
     assert (rings.TABLE_CAP - 1) ** 2 < 2 ** 31
-    for n in (720, 1000, 1024):
+    for n in (513, 720, 1000, 1024):
         ring = make_zmod(n)
         x = np.arange(n, dtype=np.int64)
-        assert np.array_equal(ring._add_t, np.add.outer(x, x) % n), n
-        assert np.array_equal(ring._mul_t, np.multiply.outer(x, x) % n), n
+        add, mul = np.add.outer(x, x) % n, np.multiply.outer(x, x) % n
+
+        def agrees():
+            return (np.array_equal(ring.vadd(x[:, None], x), add)
+                    and np.array_equal(ring.vmul(x[:, None], x), mul)
+                    and np.array_equal(ring.vneg(x), -x % n))
+
+        assert ring._add_t is None and agrees(), n
+        ring_add, ring_mul = ring.tables()
+        assert np.array_equal(ring_add, add), n
+        assert np.array_equal(ring_mul, mul), n
+        assert ring.tables()[0] is ring_add and agrees(), n
+
+
+def test_structure_queries_on_zmod_build_no_table(monkeypatch, capsys):
+    """crosscheck int, the maximal ideals, the units and the nilradical of
+    Z/1024 run on its kernels: no table is tabulated."""
+    def refuse(order, kernel):
+        raise AssertionError(f"a table of order {order} was tabulated")
+
+    monkeypatch.setattr(rings, "_tabulate", refuse)
+    assert run(["crosscheck", "int", "1024"]) == 0
+    assert '"index_sum": 9' in capsys.readouterr().out
+    ring = make_zmod(1024)
+    evens = frozenset(range(0, 1024, 2))
+    assert [m.members for m in maximal_ideals(ring)] == [evens]
+    assert units(ring) == frozenset(range(1, 1024, 2))
+    assert nilradical(ring).members == evens
+    with pytest.raises(AssertionError, match="order 1024"):
+        ring.tables()
+
+
+def test_readers_of_tables_tabulate_kernel_rings(monkeypatch):
+    """The exact sweep, product rings and polynomial quotients read a
+    kernel-backed ring's tables through ``tables`` and give what they give
+    on a ring built with its tables."""
+    with pytest.raises(BudgetExceeded) as exc:
+        exact_eb(make_zmod(513), budget=1000)
+    assert (exc.value.best_length, exc.value.nodes) == (3, 1000)
+    p = make_product([make_zmod(600), make_zmod(2)])
+    a, b = np.arange(1200) % 600, np.arange(1200) // 600
+    add = (a[:, None] + a) % 600 + 600 * ((b[:, None] + b) % 2)
+    mul = (a[:, None] * a) % 600 + 600 * ((b[:, None] * b) % 2)
+    assert np.array_equal(p.tables()[0], add) and np.array_equal(p.tables()[1], mul)
+
+    tabled = {n: make_zmod(n) for n in (3, 4, 12, 16, 18)}
+    monkeypatch.setattr(rings, "VALIDATION_CAP", 0)
+    kernel = {n: make_zmod(n) for n in tabled}
+    assert all(r._add_t is None for r in kernel.values())
+    for n in (12, 16, 18):
+        assert exact_eb(kernel[n]) == exact_eb(tabled[n]), n
+    for u, t in ((make_product([kernel[4], kernel[3]]), make_product([tabled[4], tabled[3]])),
+                 (make_poly_quotient(kernel[3], (1, 0, 1)),
+                  make_poly_quotient(tabled[3], (1, 0, 1)))):
+        assert all(np.array_equal(ut, tt) for ut, tt in zip(u.tables(), t.tables())), t.label
 
 
 def _verdict(validator, ring):
