@@ -70,8 +70,6 @@ class FiniteRing:
         if tables is not None:
             self._set_tables(*tables)
         else:
-            if kernels[2] is None:
-                raise ValueError("rings on kernels need an explicit negation")
             self._add_k, self._mul_k, self._neg_k = kernels
 
         if validate and order <= VALIDATION_CAP:

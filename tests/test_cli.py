@@ -383,10 +383,9 @@ _PAST_ARRAY_CAP = (f"error: Z/{_HUGE} has more than 16777216 elements; "
 
 def test_huge_numbers_are_refused_from_their_size():
     """Field orders past 512 are refused before trial division, moduli past
-    the array cap before factoring or allocating, and degrees past 62 before
-    a coefficient per degree is built: each command exits 2 at once. Before,
-    the first five ran for minutes and the last two printed numpy's error and
-    a traceback."""
+    the array cap before factoring or allocating, products before their int64
+    codec, and degrees past 62 before a coefficient per degree is built: each
+    command exits 2 at once, with the message of its cap."""
     cases = [
         (["invariants", "GF(2305843009213693951)"],
          "error: field order 2305843009213693951 exceeds the cap 512\n"),
