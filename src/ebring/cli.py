@@ -129,7 +129,7 @@ class _Scanner:
         return int(self.text[start:self.pos]), start
 
 
-def _field_char(q: int, text: str, pos: int) -> int:
+def _field_prime(q: int, text: str, pos: int) -> int:
     """The characteristic of GF(q), q read from ``text`` at ``pos``."""
     pk = _field_prime_power(q)
     if pk is None:
@@ -187,7 +187,7 @@ def _parse_atom(sc: _Scanner):
         return ZmodAtom(n)
     if sc.try_lit("GF("):
         q, qpos = sc.nat("a field order")
-        char = _field_char(q, sc.text, qpos)
+        char = _field_prime(q, sc.text, qpos)
         sc.expect_lit(")", "')'")
         if sc.try_lit("[x]/("):
             coeffs = _parse_poly(sc, char, lambda d: f"quotient order {q}^{d} exceeds 2^62")
@@ -436,7 +436,7 @@ def _cmd_crosscheck(args) -> int:
         if len(args.values) != 2:
             raise SpecParseError("crosscheck poly needs Q and F", " ".join(args.values), 0)
         q = int(args.values[0])
-        char = _field_char(q, args.values[0], 0)
+        char = _field_prime(q, args.values[0], 0)
         sc = _Scanner(args.values[1])
         coeffs = _parse_poly(sc, char, lambda d: "quotient order exceeds the cap")
         if not sc.at_end():

@@ -31,11 +31,12 @@ def constant(field, c):
 
 
 def from_int_coeffs(field, ints):
-    """Map integer coefficients to field elements via repeated addition of 1."""
+    """Map integer coefficients to field elements via repeated addition of 1,
+    c reduced mod the field order, which the characteristic divides."""
     out = []
     for c in ints:
         acc = field.zero
-        for _ in range(c % field.char):
+        for _ in range(c % field.order):
             acc = field.add(acc, field.one)
         out.append(acc)
     return trim(field, out)

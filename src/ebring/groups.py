@@ -3,8 +3,8 @@ Davenport constant with a maximal zero-sum-free witness, and synthetic
 products of cyclic groups.
 
 A group is a sorted tuple of element indices with a vectorized operation
-``vop`` that broadcasts over index arrays like ``FiniteRing.vmul``. Group
-work runs on arrays: the position table is one ``vop`` over the element
+``vmul`` that broadcasts over index arrays like ``FiniteRing.vmul``. Group
+work runs on arrays: the position table is one ``vmul`` over the element
 array, and invariant factors need only elementwise powers.
 """
 
@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused
 from .ideals import units
-from .rings import FiniteRing, MixedRadix, _prime_power, prime_factors, row_blocks, vpower
+from .rings import (TABLE_CAP, FiniteRing, MixedRadix, _prime_power, prime_factors,
+                    row_blocks, vpower)
 from .search import longest_free_length, max_free_sequence
 from .sequences import Sequence, product_set
 
@@ -29,18 +30,19 @@ class AbelianGroupView:
     """A finite abelian group on element indices with a vectorized operation.
 
     For unit groups the indices are ring element indices; synthetic groups
-    use 0..order-1. Exposes ``mul``/``vmul``/``one`` so sequences work over it.
+    use 0..order-1. ``vmul``, ``one`` and ``name`` are those of the carrier
+    protocol, so sequences and the searches work over it as over a ring.
     """
 
-    def __init__(self, elements, vop, identity, label, names=None):
+    def __init__(self, elements, vmul, one, label, name=str):
         self.elements = tuple(sorted(elements))
-        self.vop = vop
-        self.identity = identity
+        self.vmul = vmul
+        self.one = one
         self.label = label
-        self._names = names
+        self.name = name
         self._table: np.ndarray | None = None
         self._invariant_factors: list[int] | None = None
-        if identity not in set(self.elements):
+        if one not in set(self.elements):
             raise ValueError("identity must be one of the group elements")
         if len(self.elements) <= GROUP_VALIDATION_CAP:
             validate_group(self)
@@ -49,23 +51,8 @@ class AbelianGroupView:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def one(self) -> int:
-        return self.identity
-
     def mul(self, a: int, b: int) -> int:
-        return int(self.vop(a, b))
-
-    @property
-    def vmul(self):
-        return self.vop
-
-    def name(self, i: int) -> str:
-        if self._names is None:
-            return str(i)
-        if callable(self._names):
-            return self._names(i)
-        return self._names[i]
+        return int(self.vmul(a, b))
 
     def element_array(self) -> np.ndarray:
         return np.asarray(self.elements, dtype=np.int64)
@@ -78,7 +65,7 @@ class AbelianGroupView:
             e = self.element_array()
             self._table = np.empty((len(e), len(e)), dtype=np.int64)
             for rows in row_blocks(len(e), len(e)):
-                self._table[rows] = np.searchsorted(e, self.vop(e[rows, None], e[None, :]))
+                self._table[rows] = np.searchsorted(e, self.vmul(e[rows, None], e[None, :]))
         return self._table
 
     def __repr__(self):
@@ -94,8 +81,8 @@ def validate_group(view: AbelianGroupView) -> None:
     """
     els = view.element_array()
     n = len(els)
-    e = view.elements.index(view.identity)
-    prod = np.asarray(view.vop(els[:, None], els[None, :]))
+    e = view.elements.index(view.one)
+    prod = np.asarray(view.vmul(els[:, None], els[None, :]))
     bad = np.flatnonzero(prod[e] != els)
     if bad.size:
         raise ValueError(f"identity fails at element {els[bad[0]]}")
@@ -128,12 +115,10 @@ def validate_group(view: AbelianGroupView) -> None:
 
 def unit_group_view(ring: FiniteRing) -> AbelianGroupView:
     """The group of units under ring multiplication. Cached per ring."""
-    view = getattr(ring, "_unit_group_view", None)
-    if view is None:
-        view = AbelianGroupView(sorted(units(ring)), ring.vmul, ring.one,
-                                f"U({ring.label})", names=ring.name)
-        ring._unit_group_view = view
-    return view
+    if ring._unit_group is None:
+        ring._unit_group = AbelianGroupView(units(ring), ring.vmul, ring.one,
+                                            f"U({ring.label})", ring.name)
+    return ring._unit_group
 
 
 def synthetic_group(spec) -> AbelianGroupView:
@@ -143,17 +128,17 @@ def synthetic_group(spec) -> AbelianGroupView:
     for d in sizes:
         if d < 2:
             raise ValueError("cyclic factors must have order at least 2")
-    if math.prod(sizes) > 4096:
-        raise ValueError("synthetic group order exceeds the cap 4096")
+    if math.prod(sizes) > TABLE_CAP:
+        raise ValueError(f"synthetic group order exceeds the cap {TABLE_CAP}")
     codec = MixedRadix(sizes)
 
-    def vop(a, b):
+    def vmul(a, b):
         return codec.encode((codec.digits(a) + codec.digits(b)) % codec.sizes)
 
     label = " x ".join(f"Z{d}" for d in sizes) if sizes else "Z1"
-    names = ((lambda i: "(" + ",".join(map(str, codec.digits(i).tolist())) + ")")
-             if len(sizes) > 1 else str)
-    return AbelianGroupView(range(codec.order), vop, 0, label, names=names)
+    name = ((lambda i: "(" + ",".join(map(str, codec.digits(i).tolist())) + ")")
+            if len(sizes) > 1 else str)
+    return AbelianGroupView(range(codec.order), vmul, 0, label, name)
 
 
 def invariant_factors(view: AbelianGroupView) -> list[int]:
@@ -170,8 +155,8 @@ def invariant_factors(view: AbelianGroupView) -> list[int]:
     for p, v in prime_factors(view.order):
         x, logs = view.element_array(), [0]  # logs[k] = log_p #{x : x^(p^k) = 1}
         while logs[-1] < v:
-            x = vpower(view.vop, x, p)
-            logs.append(round(math.log(np.count_nonzero(x == view.identity), p)))
+            x = vpower(view.vmul, x, p)
+            logs.append(round(math.log(np.count_nonzero(x == view.one), p)))
         ranks = np.diff(logs)  # ranks[k - 1] = r_k
         exps.append((p, [int(np.count_nonzero(ranks >= i)) for i in range(1, ranks[0] + 1)]))
     out = [math.prod(p ** e[i] for p, e in exps if i < len(e))
@@ -189,7 +174,7 @@ class DavenportResult:
 
 
 def is_zero_sum_free(view: AbelianGroupView, seq: Sequence) -> bool:
-    return view.identity not in product_set(seq)
+    return view.one not in product_set(seq)
 
 
 def _least_generator(view: AbelianGroupView) -> int:
@@ -198,7 +183,7 @@ def _least_generator(view: AbelianGroupView) -> int:
     els = view.element_array()
     gen = np.ones(len(els), dtype=bool)
     for p, _ in prime_factors(view.order):
-        gen &= vpower(view.vop, els, view.order // p) != view.identity
+        gen &= vpower(view.vmul, els, view.order // p) != view.one
     return int(els[np.argmax(gen)])
 
 
@@ -227,7 +212,7 @@ def davenport(view: AbelianGroupView, *, budget: int | None = None) -> Davenport
     else:
         if view.order > DAVENPORT_CAP and budget is None:
             raise SearchRefused(f"group order {view.order} exceeds the search cap {DAVENPORT_CAP}")
-        e = view.elements.index(view.identity)
+        e = view.elements.index(view.one)
         candidates = [i for i in range(view.order) if i != e]
         source, search = "theorem", "Davenport search"
         if len(factors) > 2 and _prime_power(view.order) is None:
@@ -237,7 +222,7 @@ def davenport(view: AbelianGroupView, *, budget: int | None = None) -> Davenport
                 raise exc.within(f"Davenport sweep of {view.label}") from None
             source, search = "sweep", "Davenport witness search"
         try:
-            length, wit_pos = max_free_sequence(view.table().tolist(), candidates, {e},
+            length, wit_pos = max_free_sequence(view.table(), candidates, {e},
                                                 ceiling=value - 1, budget=budget)
         except BudgetExceeded as exc:
             raise exc.within(f"{search} of {view.label}") from None

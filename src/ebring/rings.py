@@ -45,34 +45,38 @@ class FiniteRing:
     """A finite commutative unitary ring with elements indexed 0..order-1.
 
     Pass ``tables=(add, mul)`` (order-by-order index arrays) or
-    ``kernels=(add, mul, neg)`` (vectorized callables).
+    ``kernels=(add, mul, neg)`` (vectorized callables). The operations
+    ``vadd``/``vmul``/``vneg`` are bound at construction, to the kernels, and
+    rebound to gathers from the tables once they exist. ``names`` gives
+    ``name``: a callable, a list of one string per element, or None for the
+    index itself.
     """
 
     def __init__(self, order: int, zero: int, one: int, label: str, *,
                  tables=None, kernels: tuple[Callable, ...] | None = None,
-                 names: Callable[[int], str] | Seq[str] | None = None,
-                 validate: bool = True):
+                 names: Callable[[int], str] | Seq[str] | None = None):
         if order < 2:
             raise ValueError("a unitary nonzero ring needs at least two elements")
         self.order = order
         self.zero = zero
         self.one = one
         self.label = label
-        self._names = names
+        self.name: Callable[[int], str] = (
+            str if names is None else names if callable(names) else list(names).__getitem__)
         self._units: frozenset[int] | None = None
         # (members, generators) of each maximal ideal, not the Ideal objects:
         # those point back at the ring and would keep it in a reference cycle
         self._maximal: list[tuple[frozenset[int], tuple[int, ...]]] | None = None
         self._idempotents: frozenset[int] | None = None
-        self._char: int | None = None
+        self._unit_group = None  # groups.unit_group_view's AbelianGroupView
 
         self._add_t = self._mul_t = self._neg_t = None
         if tables is not None:
             self._set_tables(*tables)
         else:
-            self._add_k, self._mul_k, self._neg_k = kernels
+            self.vadd, self.vmul, self.vneg = kernels
 
-        if validate and order <= VALIDATION_CAP:
+        if order <= VALIDATION_CAP:
             validate_ring(self)
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -82,28 +86,20 @@ class FiniteRing:
             if self.order > TABLE_CAP:
                 raise ValueError(f"{self.label} has {self.order} elements, "
                                  f"beyond the table cap {TABLE_CAP}")
-            self._set_tables(_tabulate(self.order, self._add_k),
-                             _tabulate(self.order, self._mul_k))
+            self._set_tables(_tabulate(self.order, self.vadd),
+                             _tabulate(self.order, self.vmul))
         return self._add_t, self._mul_t
 
     def _set_tables(self, add, mul):
-        self._add_t, self._mul_t = (np.asarray(t, dtype=np.int32).reshape(self.order, self.order)
-                                    for t in (add, mul))
-        self._neg_t = np.argmax(self._add_t == self.zero, axis=1).astype(np.int32)
-
-    # vectorized operations ------------------------------------------------
-
-    def vadd(self, x, y):
-        """Elementwise sum of two broadcastable index arrays."""
-        return self._add_t[x, y] if self._add_t is not None else self._add_k(x, y)
-
-    def vmul(self, x, y):
-        """Elementwise product of two broadcastable index arrays."""
-        return self._mul_t[x, y] if self._mul_t is not None else self._mul_k(x, y)
-
-    def vneg(self, x):
-        """Elementwise additive inverse of an index array."""
-        return self._neg_t[x] if self._neg_t is not None else self._neg_k(x)
+        """Store the tables and rebind ``vadd``/``vmul``/``vneg`` to gathers
+        from them."""
+        add, mul = (np.asarray(t, dtype=np.int32).reshape(self.order, self.order)
+                    for t in (add, mul))
+        neg = np.argmax(add == self.zero, axis=1).astype(np.int32)
+        self._add_t, self._mul_t, self._neg_t = add, mul, neg
+        self.vadd = lambda x, y: add[x, y]
+        self.vmul = lambda x, y: mul[x, y]
+        self.vneg = neg.__getitem__
 
     def element_array(self) -> np.ndarray:
         """All element indices as an int64 array."""
@@ -126,27 +122,9 @@ class FiniteRing:
     def inverse(self, x: int) -> Optional[int]:
         return inverse(self, x)
 
-    def name(self, i: int) -> str:
-        if self._names is None:
-            return str(i)
-        if callable(self._names):
-            return self._names(i)
-        return self._names[i]
-
     @property
     def elements(self) -> range:
         return range(self.order)
-
-    @property
-    def char(self) -> int:
-        """Characteristic: the additive order of 1."""
-        if self._char is None:
-            acc, c = self.one, 1
-            while acc != self.zero:
-                acc = self.add(acc, self.one)
-                c += 1
-            self._char = c
-        return self._char
 
     def __repr__(self):
         return f"FiniteRing({self.label}, order={self.order})"
@@ -490,7 +468,7 @@ def make_from_table(n: int, add_table, mul_table, names: Seq[str] | None = None,
     if names is not None and len(names) != n:
         raise ValueError("names must list one string per element")
     return FiniteRing(n, int(np.argmax(zeros)), int(np.argmax(ones)), label, tables=(add, mul),
-                      names=list(names) if names is not None else None)
+                      names=names)
 
 
 # queries --------------------------------------------------------------------

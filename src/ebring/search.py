@@ -34,11 +34,11 @@ of S (entry ``[c, b, a]`` covers s and s·a for the elements s that byte value
 b marks in byte c), and free children wait at their popcount level, to be
 deduplicated when it comes up. A level's states go in order of start, and a
 block of them gathers the table columns from its first state's start on. The
-candidates go in table blocks that fit in ``TABLE_CAP`` words, each built
-once per level, and only for the states whose start comes before its end.
-The count of states expanded does not depend on the labelling. The pending
-product sets are held within ``PENDING_CAP`` words, so memory is bounded
-whatever the budget. The sweep gives no witness, and it cannot stop early at
+candidates go in table blocks that fit in ``STEP_TABLE_WORDS`` words, each
+built once per level, and only for the states whose start comes before its
+end. The count of states expanded does not depend on the labelling. The
+pending product sets are held within ``PENDING_CAP`` words, so memory is
+bounded whatever the budget. The sweep gives no witness, and it cannot stop early at
 a known ceiling.
 
 The witness DFS, ``max_free_sequence``, serves witnesses only. Its caller
@@ -69,10 +69,10 @@ DFS would have skipped it with no memo lookup. The step is incremental: with
 so it reads the tables at Δ only. Δ·a ORs one table entry per nonzero byte of Δ,
 from the sweep's tables as Python ints: entry ``256*j + b`` of a's table is
 the mask of s and s·a over s = 8j + k for the set bits k of b, and s itself
-adds nothing, as Δ ⊆ S'. Above ``TABLE_CAP`` entries the tables go by element
-instead, and the step walks the set bits of Δ. Neither shortcut changes a
-product set, so nodes, memo traffic, counters and witnesses are those of the
-from-scratch step.
+adds nothing, as Δ ⊆ S'. Above ``STEP_TABLE_WORDS`` entries the tables go by
+element instead, and the step walks the set bits of Δ. Neither shortcut
+changes a product set, so nodes, memo traffic, counters and witnesses are
+those of the from-scratch step.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ MEMO_CAP = 1 << 20
 # few tens of MiB. Both searches build their tables in numpy a block of
 # candidates at a time within the same cap in uint64 words, 8 MiB, down to
 # one candidate; one candidate's table passes the cap above 2048 elements.
-TABLE_CAP = 1 << 20
+STEP_TABLE_WORDS = 1 << 20
 # Most products of one sweep block, in words (128 KiB). On the benchmark's
 # exact-eb rings this quarter of rings.BLOCK ran as fast as rings.BLOCK and
 # peaked about 0.6 MiB lower, its temporaries staying small.
@@ -119,7 +119,7 @@ class _Engine:
         mul = np.asarray(mul_rows, dtype=np.int64)
         n = len(mul)
         self.nbytes = -(-n // 8)
-        self.chunked = len(self.cands) * self.nbytes * 256 <= TABLE_CAP
+        self.chunked = len(self.cands) * self.nbytes * 256 <= STEP_TABLE_WORDS
         if self.chunked:
             self.tables = _int_tables(mul, np.asarray(self.cands, dtype=np.int64))
         else:
@@ -259,10 +259,10 @@ def _step_tables(mul, cands, words: int):
 def _int_tables(mul, cands) -> list[list[int]]:
     """The step tables of ``_step_tables`` as Python-int masks, one flat list
     per candidate with entry ``256*c + b`` for byte value b of byte c, built a
-    block of candidates at a time within ``TABLE_CAP`` words."""
+    block of candidates at a time within ``STEP_TABLE_WORDS`` words."""
     n = len(mul)
     words, chunks = -(-n // 64), -(-n // 8)
-    width = max(1, TABLE_CAP // (chunks * 256 * words))
+    width = max(1, STEP_TABLE_WORDS // (chunks * 256 * words))
     out = []
     for lo in range(0, len(cands), width):
         tab = _step_tables(mul, cands[lo:lo + width], words)
@@ -340,7 +340,7 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
     # (a set difference, not np.setdiff1d, whose np.unique imports numpy.ma)
     cands = np.array(sorted({int(a) for a in candidates}.difference(forbidden)), dtype=np.int64)
     cands = cands[np.lexsort((cands, _semigroup_sizes(mul, cands)))]
-    width = max(1, TABLE_CAP // (chunks * 256 * words))
+    width = max(1, STEP_TABLE_WORDS // (chunks * 256 * words))
     blocks = [(lo, cands[lo:lo + width]) for lo in range(0, len(cands), width)]
 
     def tables_of(block):

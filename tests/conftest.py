@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ebring import (AxiomViolation, FiniteRing, Sequence, build_ring, idempotents,
+from ebring import (AxiomViolation, Sequence, build_ring, idempotents,
                     make_from_table, search)
 from ebring.rings import MixedRadix, additive_span, row_blocks
 
@@ -55,7 +55,7 @@ def naive_eb(ring, limit=10):
 def naive_davenport(view, limit=10):
     """Least length at which every sequence has an identity subset product."""
     for ell in range(1, limit + 1):
-        if not any(view.identity not in subset_products(view.mul, combo)
+        if not any(view.one not in subset_products(view.mul, combo)
                    for combo in combinations_with_replacement(view.elements, ell)):
             return ell
     raise AssertionError(f"no bound found up to {limit}")
@@ -103,7 +103,7 @@ def dfs_reference(mul_rows, candidates, forbidden, budget=None):
 def davenport_input(view):
     """The Davenport search's input on ``view``'s position table: its rows,
     every non-identity position as a candidate, and the identity forbidden."""
-    e = view.elements.index(view.identity)
+    e = view.elements.index(view.one)
     return view.table().tolist(), [i for i in range(view.order) if i != e], {e}
 
 
@@ -260,7 +260,8 @@ def product_reference(factors):
 
     names = ["(" + ",".join(f.name(d) for f, d in zip(factors, digits)) + ")"
              for digits in codec.digits(x).tolist()]
-    return (componentwise(FiniteRing.vadd), componentwise(FiniteRing.vmul),
+    return (componentwise(lambda f, x, y: f.vadd(x, y)),
+            componentwise(lambda f, x, y: f.vmul(x, y)),
             int(codec.encode([f.zero for f in factors])),
             int(codec.encode([f.one for f in factors])), names)
 

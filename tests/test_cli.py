@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ebring import SpecParseError, build_ring, parse_group_spec, parse_ring_spec, report, serialize_report
-from ebring import search
+from ebring import ideals, search
 from ebring.cli import BUDGET_ENV, RingSpec, _build_parser, run
 
 VALID_SPECS = (
@@ -79,6 +79,9 @@ def test_group_spec_grammar():
         with pytest.raises(SpecParseError) as err:
             parse_group_spec(text)
         assert err.value.position == pos
+    with pytest.raises(SpecParseError, match="unexpected trailing input") as err:
+        parse_group_spec("Z2 x Z3 y")
+    assert err.value.position == 8
 
 
 def test_davenport_cli_rejects_order_zero(capsys):
@@ -159,6 +162,11 @@ def test_run_exit_codes(capsys, monkeypatch):
     assert run(["inspect", "Z/12", "units"]) == 0
     assert run(["construct", "GF(2)[x]/(x^3)"]) == 0
     capsys.readouterr()
+    # an internal certificate that fails is an invariant violation, exit 1
+    monkeypatch.setattr(ideals, "_residue_field_certified", lambda ring, mask: False)
+    assert run(["inspect", "Z/12", "maxideals"]) == 1
+    assert capsys.readouterr() == (
+        "", "invariant violation: candidate maximal ideal (3) has a non-field quotient\n")
 
 
 def test_run_threads_validation(capsys):
@@ -305,6 +313,10 @@ def test_crosscheck_poly_bad_input(capsys):
     assert run(["crosscheck", "poly", "6", "x^2"]) == 2
     assert run(["crosscheck", "poly", "2", "2x^2"]) == 2
     capsys.readouterr()
+    assert run(["crosscheck", "poly", "2"]) == 2
+    assert capsys.readouterr().err == "error: crosscheck poly needs Q and F (at position 0: '2')\n"
+    assert run(["crosscheck", "poly", "2", "x^2+1 )"]) == 2
+    assert capsys.readouterr().err == "error: unexpected trailing input (at position 6: ')')\n"
 
 
 def test_ring_spec_dataclass_render():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,6 +94,37 @@ def test_construction_lifts_are_congruent():
                 if other is not ic:
                     other_power = stationary[id(other.ideal)]
                     assert ring.add(lifted, ring.neg(ring.one)) in other_power.members
+
+
+def _two_generator_local_ring():
+    """GF(2)[x,y]/(x^2, xy, y^3) as a 16-element table ring: bit k of an
+    index is the coefficient of the k-th of the basis 1, x, y, y^2."""
+    i, j = np.arange(16)[:, None], np.arange(16)[None, :]
+    a, b, c, d = (i >> k & 1 for k in range(4))
+    e, f, g, h = (j >> k & 1 for k in range(4))
+    mul = ((a & e) | ((a & f) ^ (b & e)) << 1 | ((a & g) ^ (c & e)) << 2
+           | ((a & h) ^ (d & e) ^ (c & g)) << 3)
+    names = ["+".join(t for k, t in ((3, "y^2"), (2, "y"), (1, "x"), (0, "1")) if n >> k & 1)
+             or "0" for n in range(16)]
+    return make_from_table(16, i ^ j, mul, names=names, label="GF(2)[x,y]/(x^2,xy,y^3)")
+
+
+def test_construction_backs_up_past_an_annihilating_generator():
+    """The maximal ideal M = (x, y) has index 3. Its least member outside M^2
+    is x, and x·M = 0, so the depth search must back up from x; it then
+    chooses (y, y). The bound D(Z2 x Z4) + 2 = 7 is the exact value: the
+    local case of the equality, on a maximal ideal with two generators."""
+    ring = _two_generator_local_ring()
+    trace = construct_extremal(ring)
+    (ic,) = trace.per_ideal
+    assert ic.index == 3
+    assert [ring.name(y) for y in ic.chosen] == ["y", "y"]
+    assert ring.name(ic.certificates[-1].product) == "y^2"
+    assert all(cert.holds for cert in ic.certificates)
+    assert trace.verified and is_idempotent_product_free(trace.free_sequence)
+    rep = report(ring, exact=True)
+    assert (rep.lower_bound, rep.exact_value, rep.equality_case) == (7, 7, LOCAL)
+    assert rep.unit_group_factors == (2, 4)
 
 
 def test_trivial_unit_group_gives_empty_witness():

@@ -1,13 +1,14 @@
 import math
 import random
+from collections import OrderedDict
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from ebring import (AbelianGroupView, BudgetExceeded, InternalConsistencyError, SearchRefused,
-                    davenport, groups, invariant_factors, is_zero_sum_free, make_gf, make_zmod,
-                    synthetic_group, unit_group_view)
+                    davenport, groups, invariant_factors, is_zero_sum_free, make_gf,
+                    make_poly_quotient, make_zmod, search, synthetic_group, unit_group_view)
 from ebring.sequences import Sequence, product_set
 
 from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, davenport_input, dfs_reference,
@@ -17,7 +18,7 @@ from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, davenport_input, d
 def _order(g, a):
     """Order of a, by multiplying until the identity comes back."""
     k, acc = 1, a
-    while acc != g.identity:
+    while acc != g.one:
         acc = g.mul(acc, a)
         k += 1
     return k
@@ -115,14 +116,14 @@ _NONCOMMUTATIVE = np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
 
 
 def test_group_validation_rejects_broken_ops():
-    for order, vop, message in (
+    for order, vmul, message in (
             (4, lambda a, b: a + b, r"operation escapes the carrier at \(1, 3\)"),
             (5, lambda a, b: (a - b) % 5, "identity fails at element 1"),
             (3, lambda a, b: _NONCOMMUTATIVE[a, b], r"commutativity fails at \(1, 2\)"),
             (4, lambda a, b: np.minimum(a + b, 3), "element 1 has no inverse"),
             (6, lambda a, b: _LOOP[a, b], "associativity fails at")):
         with pytest.raises(ValueError, match=message):
-            AbelianGroupView(range(order), vop, 0, "broken")
+            AbelianGroupView(range(order), vmul, 0, "broken")
 
 
 def test_davenport_trivial_group():
@@ -207,14 +208,40 @@ def test_search_matches_brute_force_oracle():
         result = davenport(g)
         assert result.value == naive_davenport(g)
         assert len(result.witness) == result.value - 1
-        assert g.identity not in subset_products(g.mul, result.witness.terms)
+        assert g.one not in subset_products(g.mul, result.witness.terms)
+
+
+def test_witness_search_is_unchanged_by_memo_eviction(monkeypatch):
+    """Past ``MEMO_CAP`` entries the witness DFS evicts its least recently
+    used memo entry; a state evicted and met again is searched again, so
+    every value and witness equals the one found with the full memo. Caps
+    1 and 4 evict on every group here; 16 evicts on none."""
+    views = [synthetic_group(spec) for spec in ([2, 2, 6], [3, 9], [2, 2, 2, 2])]
+    views += [unit_group_view(make_zmod(80)),
+              unit_group_view(make_poly_quotient(make_gf(2), (0,) * 6 + (1,)))]
+    want = [davenport(view) for view in views]
+    evicted = []
+
+    class CountingMemo(OrderedDict):
+        def popitem(self, last=True):
+            evicted.append(cap)
+            return super().popitem(last)
+
+    monkeypatch.setattr(search, "OrderedDict", CountingMemo)
+    for cap in (1, 4, 16):
+        monkeypatch.setattr(search, "MEMO_CAP", cap)
+        for view, full in zip(views, want):
+            got = davenport(view)
+            assert (got.value, got.witness.terms) == (full.value, full.witness.terms), \
+                (cap, view.label)
+    assert evicted.count(1) > evicted.count(4) > 0
 
 
 def test_zero_sum_free_predicate():
     g = synthetic_group([4])
     assert is_zero_sum_free(g, Sequence.make(g, (1, 1, 1)))
     assert not is_zero_sum_free(g, Sequence.make(g, (1, 3)))
-    assert g.identity not in product_set(Sequence.make(g, (1, 1)))
+    assert g.one not in product_set(Sequence.make(g, (1, 1)))
 
 
 # D(G) by theorem or sweep against the exhaustive search -----------------------

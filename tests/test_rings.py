@@ -7,7 +7,7 @@ from ebring import (AxiomViolation, BudgetExceeded, FiniteRing, exact_eb, gfpoly
                     ideal_index, idempotents, inverse, is_field, make_from_table, make_gf,
                     make_poly_quotient, make_product, make_zmod, maximal_ideals, nilradical,
                     units, validate_ring)
-from ebring import rings
+from ebring import erdos_burgess, rings
 from ebring.cli import run
 from ebring.rings import MixedRadix, _prime_power, prime_factors
 
@@ -237,12 +237,6 @@ def test_validate_passes_for_structured_rings():
         validate_ring(r)
 
 
-def test_characteristic():
-    assert make_zmod(12).char == 12
-    assert make_gf(9).char == 3
-    assert make_poly_quotient(make_gf(2), (0, 0, 1)).char == 2
-
-
 def test_neg_is_additive_inverse():
     for r in (make_zmod(10), make_gf(8)):
         assert all(r.add(x, r.neg(x)) == r.zero for x in r.elements)
@@ -272,6 +266,22 @@ def test_large_rings_fall_back_to_on_demand_ops():
     big = make_poly_quotient(make_gf(2), (1,) + (0,) * 12 + (1,))
     assert big.order == 8192
     assert big.mul(2, 2) == 4  # x * x = x^2
+
+
+def test_tables_are_refused_above_the_cap(monkeypatch):
+    """A kernel ring above TABLE_CAP refuses its tables, and the exact sweep,
+    which reads them, refuses before it starts."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(erdos_burgess, "longest_free_length", no_sweep)
+    message = "Z/4097 has 4097 elements, beyond the table cap 4096"
+    with pytest.raises(ValueError) as err:
+        make_zmod(4097).tables()
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        exact_eb(make_zmod(4097), budget=1)
+    assert str(err.value) == message
 
 
 def test_zmod_tables_in_int32_match_int64_arithmetic():
@@ -354,15 +364,17 @@ def _symmetric_corruptions(ring):
             for i in range(n) for j in range(i, n) for v in range(n) if v != table[i, j]]
 
 
-def _corrupted_rings():
+def _corrupted_rings(monkeypatch):
     """(spec, corruption, ring): every symmetric single-entry corruption of add
     or mul on rings of at most five elements, a fixed-seed sample of them
-    above, plus fixed-seed double corruptions."""
+    above, plus fixed-seed double corruptions. The corrupted rings are built
+    under a ``VALIDATION_CAP`` of 0, so construction does not reject them."""
     rng = random.Random(4)
     specs = FAMILY_SPECS + ["Z/2 x Z/2", "Z/2 x GF(4)", "Z/3 x Z/3", "Z/2 x Z/2 x Z/2",
                             "Z/2 x Z/4"]
-    for spec in specs:
-        ring = family_ring(spec)
+    sound = [(spec, family_ring(spec)) for spec in specs]
+    monkeypatch.setattr(rings, "VALIDATION_CAP", 0)
+    for spec, ring in sound:
         singles = _symmetric_corruptions(ring)
         picks = [[c] for c in (singles if ring.order <= 5 else rng.sample(singles, 120))]
         picks += [rng.sample(singles, 2) for _ in range(30)]
@@ -371,15 +383,15 @@ def _corrupted_rings():
             for t, i, j, v in pick:
                 tables[t][i, j] = tables[t][j, i] = v
             yield spec, pick, FiniteRing(ring.order, ring.zero, ring.one, "corrupted",
-                                         tables=tables, validate=False)
+                                         tables=tables)
 
 
-def test_validator_agrees_with_exhaustive_oracle_on_corruptions():
+def test_validator_agrees_with_exhaustive_oracle_on_corruptions(monkeypatch):
     """On every corrupted ring the generator-based validator accepts exactly
     when the O(n^3) oracle does."""
     rejected_by = set()
     cases = 0
-    for spec, pick, bad in _corrupted_rings():
+    for spec, pick, bad in _corrupted_rings(monkeypatch):
         new, old = _verdict(validate_ring, bad), _verdict(exhaustive_validate, bad)
         assert (new is None) == (old is None), (spec, pick, new, old)
         rejected_by.add(new and new[0])
@@ -389,10 +401,10 @@ def test_validator_agrees_with_exhaustive_oracle_on_corruptions():
             "distributivity"} <= rejected_by
 
 
-def test_validator_row_gathers_keep_the_axiom_and_witness():
+def test_validator_row_gathers_keep_the_axiom_and_witness(monkeypatch):
     """On every corrupted ring the validator names the same axiom and the
     same witness tuple as Light's test indexed directly."""
-    for spec, pick, bad in _corrupted_rings():
+    for spec, pick, bad in _corrupted_rings(monkeypatch):
         assert _verdict(validate_ring, bad) == _verdict(light_reference, bad), (spec, pick)
 
 
@@ -454,7 +466,7 @@ def test_untabled_kernels_match_tables(monkeypatch):
         assert np.array_equal(u.vmul(x[:, None], x[None, :]), t._mul_t)
         assert np.array_equal(u.vneg(x), t._neg_t)
         assert [[u.mul(i, j) for j in x[:7]] for i in x] == t._mul_t[:, :7].tolist()
-        assert (u.zero, u.one, u.char) == (t.zero, t.one, t.char)
+        assert (u.zero, u.one) == (t.zero, t.one)
         assert units(u) == units(t) and idempotents(u) == idempotents(t)
         assert [u.name(i) for i in x] == [t.name(i) for i in x]
         nu, nt = nilradical(u), nilradical(t)

@@ -99,22 +99,22 @@ def test_bit_walk_kernel_matches_the_tables(monkeypatch):
         *got, eng = dfs_reference(*args)
         assert eng.chunked
         tabled.append(got)
-    monkeypatch.setattr(search, "TABLE_CAP", 0)
+    monkeypatch.setattr(search, "STEP_TABLE_WORDS", 0)
     for args, want in zip(inputs, tabled):
         *got, eng = dfs_reference(*args)
         assert not eng.chunked
         assert got == want
 
 
-@pytest.mark.parametrize("table_cap", [search.TABLE_CAP, 0], ids=["chunked", "bit-walk"])
-def test_engine_matches_the_from_scratch_oracle(monkeypatch, table_cap):
+@pytest.mark.parametrize("step_words", [search.STEP_TABLE_WORDS, 0], ids=["chunked", "bit-walk"])
+def test_engine_matches_the_from_scratch_oracle(monkeypatch, step_words):
     """The value and every memo entry, witness lookups included, equal the
     plain recursion's: an inherited candidate list that dropped a live
     candidate, or a wrong incremental step, would lower some entry."""
-    monkeypatch.setattr(search, "TABLE_CAP", table_cap)
+    monkeypatch.setattr(search, "STEP_TABLE_WORDS", step_words)
     for args in _kernel_inputs():
         total, witness, _, eng = dfs_reference(*args)
-        assert eng.chunked == bool(table_cap)
+        assert eng.chunked == bool(step_words)
         oracle = longest_oracle(*args)
         assert total == oracle(0, 0)
         assert len(witness) == total
@@ -166,16 +166,17 @@ def test_sweep_state_count_is_pinned_by_the_budget(spec, length):
     assert _sweep_within(_exact_input(family_ring(spec)), SWEEP_STATES[spec]) == length
 
 
-@pytest.mark.parametrize("table_cap, block", [(search.TABLE_CAP, search.SWEEP_BLOCK),
-                                               (0, search.SWEEP_BLOCK), (search.TABLE_CAP, 1)],
+@pytest.mark.parametrize("step_words, block", [(search.STEP_TABLE_WORDS, search.SWEEP_BLOCK),
+                                                (0, search.SWEEP_BLOCK),
+                                                (search.STEP_TABLE_WORDS, 1)],
                          ids=["one-block", "per-candidate", "per-state"])
-def test_sweep_matches_the_dfs_on_the_family(monkeypatch, table_cap, block):
+def test_sweep_matches_the_dfs_on_the_family(monkeypatch, step_words, block):
     """Same value as the DFS; the sweep expands exactly the product sets of
     free sequences, so never more states than the DFS has nodes. With no
     table room, the tables go one candidate at a time; with a block of one
     entry, the states go one at a time and each level's pending product sets
     are deduplicated as they arrive."""
-    monkeypatch.setattr(search, "TABLE_CAP", table_cap)
+    monkeypatch.setattr(search, "STEP_TABLE_WORDS", step_words)
     monkeypatch.setattr(search, "SWEEP_BLOCK", block)
     for spec in FAMILY_SPECS:
         args = _exact_input(family_ring(spec))
@@ -226,16 +227,17 @@ def state_oracles():
     return [(args, sweep_oracle(*args)) for args in inputs]
 
 
-@pytest.mark.parametrize("table_cap, block", [(search.TABLE_CAP, search.SWEEP_BLOCK),
-                                               (0, search.SWEEP_BLOCK), (search.TABLE_CAP, 1)],
+@pytest.mark.parametrize("step_words, block", [(search.STEP_TABLE_WORDS, search.SWEEP_BLOCK),
+                                                (0, search.SWEEP_BLOCK),
+                                                (search.STEP_TABLE_WORDS, 1)],
                          ids=["one-block", "per-candidate", "per-state"])
 def test_sweep_states_carry_the_longest_distance_and_least_start(monkeypatch, state_oracles,
-                                                                 table_cap, block):
+                                                                 step_words, block):
     """Every state's distance and start against the plain oracle: a step that
     skipped the candidate at a state's start, a merge that kept another
     start, or a block that gathered too few columns would move some start
     even where the value and the set of states stay right."""
-    monkeypatch.setattr(search, "TABLE_CAP", table_cap)
+    monkeypatch.setattr(search, "STEP_TABLE_WORDS", step_words)
     monkeypatch.setattr(search, "SWEEP_BLOCK", block)
     found = _record_states(monkeypatch)
     for args, want in state_oracles:
@@ -295,8 +297,8 @@ def test_node_budget_stops_the_sweep_after_whole_levels(levels, nodes, best_leng
 
 def test_large_ring_builds_its_tables_a_block_at_a_time(capsys, monkeypatch):
     """256 elements: the step tables of every candidate would take 64 MiB;
-    the sweep holds those of one block of candidates, at most TABLE_CAP words,
-    and the next block's while it builds them. Through the CLI, D(U(R)) of
+    the sweep holds those of one block of candidates, at most
+    STEP_TABLE_WORDS words, and the next block's while it builds them. Through the CLI, D(U(R)) of
     C2 x C32 takes 34 nodes of the budget's 40 and finishes, so the budget
     runs out in the exact sweep, after 40 product sets."""
     ring = family_ring("Z/2 x Z/128")
@@ -314,4 +316,4 @@ def test_large_ring_builds_its_tables_a_block_at_a_time(capsys, monkeypatch):
     assert (err.value.nodes, err.value.best_length) == (10, 2)
     assert code == 3
     assert capsys.readouterr().err.endswith("(best free length proven: 2, nodes expanded: 40)\n")
-    assert max(direct, cli) < 3 * search.TABLE_CAP * 8
+    assert max(direct, cli) < 3 * search.STEP_TABLE_WORDS * 8
