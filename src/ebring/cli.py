@@ -24,6 +24,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused, SpecParseError
 from .rings import (FiniteRing, make_from_table, make_gf, make_poly_quotient,
                     make_product, make_zmod, idempotents, _field_prime_power)
@@ -104,9 +106,14 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def at_end(self) -> bool:
+    def expect_end(self):
         self.skip_ws()
-        return self.pos >= len(self.text)
+        if self.pos < len(self.text):
+            raise SpecParseError("unexpected trailing input", self.text, self.pos)
+
+    def at_digit(self) -> bool:
+        """Whether an ASCII digit is next; ``str.isdigit`` would take '²' or '٣'."""
+        return self.pos < len(self.text) and self.text[self.pos] in "0123456789"
 
     def try_lit(self, lit: str) -> bool:
         self.skip_ws()
@@ -122,7 +129,7 @@ class _Scanner:
     def nat(self, what: str = "a number") -> tuple[int, int]:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.at_digit():
             self.pos += 1
         if self.pos == start:
             raise SpecParseError(f"expected {what}", self.text, start)
@@ -148,7 +155,7 @@ def _parse_poly(sc: _Scanner, char: int, too_large) -> tuple[int, ...]:
         sc.skip_ws()
         start = sc.pos
         coeff = None
-        if sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
+        if sc.at_digit():
             coeff, _ = sc.nat()
         if sc.try_lit("x"):
             if sc.try_lit("^"):
@@ -211,8 +218,7 @@ def parse_ring_spec(text: str) -> RingSpec:
     atoms = [_parse_atom(sc)]
     while sc.try_lit("x"):
         atoms.append(_parse_atom(sc))
-    if not sc.at_end():
-        raise SpecParseError("unexpected trailing input", text, sc.pos)
+    sc.expect_end()
     return RingSpec(tuple(atoms), text)
 
 
@@ -226,8 +232,7 @@ def parse_group_spec(text: str) -> list[int]:
         if d == 0:
             raise SpecParseError("a cyclic order must be at least 1", text, pos)
         factors.append(d)
-    if not sc.at_end():
-        raise SpecParseError("unexpected trailing input", text, sc.pos)
+    sc.expect_end()
     return factors
 
 
@@ -427,20 +432,27 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _whole_number(text: str, what: str) -> tuple[int, int]:
+    """The number that is all of ``text`` but surrounding space, and its position."""
+    sc = _Scanner(text)
+    number = sc.nat(what)
+    sc.expect_end()
+    return number
+
+
 def _cmd_crosscheck(args) -> int:
     if args.kind == "int":
         if len(args.values) != 1:
             raise SpecParseError("crosscheck int needs N", " ".join(args.values), 0)
-        record = dedekind_crosscheck_int(int(args.values[0]))
+        record = dedekind_crosscheck_int(_whole_number(args.values[0], "a modulus")[0])
     else:
         if len(args.values) != 2:
             raise SpecParseError("crosscheck poly needs Q and F", " ".join(args.values), 0)
-        q = int(args.values[0])
-        char = _field_prime(q, args.values[0], 0)
+        q, qpos = _whole_number(args.values[0], "a field order")
+        char = _field_prime(q, args.values[0], qpos)
         sc = _Scanner(args.values[1])
         coeffs = _parse_poly(sc, char, lambda d: "quotient order exceeds the cap")
-        if not sc.at_end():
-            raise SpecParseError("unexpected trailing input", args.values[1], sc.pos)
+        sc.expect_end()
         record = dedekind_crosscheck_poly(q, coeffs)
     doc = {
         "ring": record.ring_label,
@@ -467,7 +479,7 @@ def _cmd_inspect(args) -> int:
         print(",".join(ring.name(x) for x in listing))
     elif what == "nilradical":
         nil = nilradical(ring)
-        print(",".join(ring.name(x) for x in sorted(nil.members)))
+        print(",".join(ring.name(x) for x in np.flatnonzero(nil.mask).tolist()))
     else:
         for m in maximal_ideals(ring):
             gens = ",".join(ring.name(g) for g in m.generators) or "0"

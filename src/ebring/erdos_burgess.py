@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gfpoly
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused
 from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
@@ -65,7 +67,7 @@ def _depth_tuple(ring, m_ideal, powers, k):
     depth in the power filtration. A prefix that falls one level too deep
     would drag the full product into the stationary power, so prefix pruning
     is exact."""
-    members = sorted(m_ideal.members)
+    members = np.flatnonzero(m_ideal.mask).tolist()
     chosen: list[int] = []
 
     def dfs(prod, depth):
@@ -73,7 +75,7 @@ def _depth_tuple(ring, m_ideal, powers, k):
             return True
         for y in members:
             p = ring.mul(prod, y)
-            if p in powers[depth + 1].members and p not in powers[depth + 2].members:
+            if powers[depth + 1].mask[p] and not powers[depth + 2].mask[p]:
                 chosen.append(y)
                 if dfs(p, depth + 1):
                     return True
@@ -121,8 +123,8 @@ def construct_extremal(ring: FiniteRing, *, budget: int | None = None) -> Constr
         for j, y in enumerate(chosen, start=1):
             prod = ring.mul(prod, y)
             certs.append(DepthCertificate(j, prod,
-                                          prod in powers[j].members,
-                                          prod not in powers[j + 1].members))
+                                          bool(powers[j].mask[prod]),
+                                          not powers[j + 1].mask[prod]))
         lifted = tuple(_crt_lift(ring, stationary, pos, y) for y in chosen)
         all_lifted.extend(lifted)
         per_ideal.append(IdealConstruction(m, k, chosen, lifted, tuple(certs)))
@@ -210,7 +212,7 @@ def local_case_certificate(ring: FiniteRing, seq: Sequence) -> LocalCaseCertific
     u = units(ring)
     unit_terms = tuple(t for t in seq.terms if t in u)
     ideal_terms = tuple(t for t in seq.terms if t not in u)
-    if any(t not in m.members for t in ideal_terms):
+    if not all(m.mask[t] for t in ideal_terms):
         raise InternalConsistencyError("non-unit escaping the maximal ideal in a local ring")
     unit_part = Sequence(seq.carrier, unit_terms)
     ideal_part = Sequence(seq.carrier, ideal_terms)
@@ -267,7 +269,7 @@ def squarefree_case_certificate(ring: FiniteRing, seq: Sequence) -> SquarefreeCa
     u = units(ring)
     lifted = []
     for a in seq.terms:
-        constraints = [(m, ring.one if a in m.members else a) for m in maxi]
+        constraints = [(m, ring.one if m.mask[a] else a) for m in maxi]
         b = crt_solve(ring, constraints)
         if b not in u:
             raise InternalConsistencyError("lift is not a unit")

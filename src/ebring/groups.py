@@ -17,12 +17,11 @@ import numpy as np
 
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused
 from .ideals import units
-from .rings import (TABLE_CAP, FiniteRing, MixedRadix, _prime_power, prime_factors,
-                    row_blocks, vpower)
+from .rings import (TABLE_CAP, VALIDATION_CAP, FiniteRing, MixedRadix, _prime_power,
+                    prime_factors, row_blocks, vpower)
 from .search import longest_free_length, max_free_sequence
 from .sequences import Sequence, product_set
 
-GROUP_VALIDATION_CAP = 512
 DAVENPORT_CAP = 64
 
 
@@ -44,7 +43,7 @@ class AbelianGroupView:
         self._invariant_factors: list[int] | None = None
         if one not in set(self.elements):
             raise ValueError("identity must be one of the group elements")
-        if len(self.elements) <= GROUP_VALIDATION_CAP:
+        if len(self.elements) <= VALIDATION_CAP:
             validate_group(self)
 
     @property
@@ -194,7 +193,7 @@ def davenport(view: AbelianGroupView, *, budget: int | None = None) -> Davenport
     D(G) = D*(G) = 1 + sum(n_i - 1) over the invariant factors n_i is a
     theorem for cyclic groups, for rank two and for p-groups (Olson 1969;
     Geroldinger-Halter-Koch, Non-Unique Factorizations, 2006, ch. 5).
-    Cyclic groups up to ``GROUP_VALIDATION_CAP`` take the closed form: the
+    Cyclic groups up to ``VALIDATION_CAP`` take the closed form: the
     zero-sum-free sequences of length n - 1 in Z_n are g^(n-1) for the
     generators g, so the witness is the least generator n - 1 times. Other
     groups covered by the theorem take its value; the rest take the value
@@ -207,7 +206,7 @@ def davenport(view: AbelianGroupView, *, budget: int | None = None) -> Davenport
     """
     factors = invariant_factors(view)
     value = 1 + sum(d - 1 for d in factors)
-    if len(factors) <= 1 and view.order <= GROUP_VALIDATION_CAP:
+    if len(factors) <= 1 and view.order <= VALIDATION_CAP:
         terms = (_least_generator(view),) * (view.order - 1)
     else:
         if view.order > DAVENPORT_CAP and budget is None:

@@ -1,12 +1,12 @@
 """Ideal arithmetic: generation, product, powers, index, nilradical,
 maximal ideals, units, quotient rings and coset-intersection CRT solving.
 
-All operations are pure functions of immutable inputs. ``Ideal.members`` is
-a frozenset, but the work is done on boolean membership masks and index
-arrays through the ring's vectorized ``vadd``/``vmul``, so the same code runs
-on a ring's tables where it holds them and on its kernels otherwise. Additive
-closures come from ``rings.additive_span``: each enlarging seed adds its
-cosets in doubling steps.
+All operations are pure functions of immutable inputs. An ideal is stored as
+one read-only boolean membership mask over the ring's elements, and the work
+runs on masks and index arrays through the ring's vectorized ``vadd``/``vmul``,
+so the same code runs on a ring's tables where it holds them and on its
+kernels otherwise. Additive closures come from ``rings.additive_span``: each
+enlarging seed adds its cosets in doubling steps.
 
 The maximal ideals come from the primitive idempotents of the ring itself,
 each certified by a primitive element of its residue field, and the units
@@ -16,7 +16,8 @@ ring is built on the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -25,29 +26,39 @@ from .rings import (FiniteRing, VALIDATION_CAP, additive_span, idempotents,
                     prime_factors, vpower)
 
 
-@dataclass(frozen=True)
 class Ideal:
-    """A subset of ring elements closed under addition and absorption.
-
-    ``generators`` is a greedily reduced generating list, kept for rendering;
-    ``members`` is the authoritative content.
+    """A subset of ring elements closed under addition and absorption, stored
+    as its read-only boolean membership ``mask`` only. ``members`` (a
+    frozenset) and ``generators`` (a greedily reduced generating list, for
+    rendering) are derived from it on first read, unless the generators are
+    passed in. Ideals are equal when their rings are and their masks match.
     """
 
-    ring: FiniteRing
-    members: frozenset[int]
-    generators: tuple[int, ...] = field(default=())
+    def __init__(self, ring: FiniteRing, mask: np.ndarray, generators=None):
+        mask.flags.writeable = False
+        self.ring, self.mask = ring, mask
+        if generators is not None:
+            self.generators = generators
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.mask).tolist())
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        return _greedy_generators(self.ring, self.mask)[0]
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
 
     @property
     def is_proper(self) -> bool:
-        return self.ring.one not in self.members
+        return not self.mask[self.ring.one]
 
     @property
     def is_zero(self) -> bool:
-        return self.members == frozenset({self.ring.zero})
+        return self.size == 1
 
     def render(self) -> str:
         if not self.generators:
@@ -56,27 +67,13 @@ class Ideal:
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.ring is other.ring
-                and self.members == other.members)
+                and np.array_equal(self.mask, other.mask))
 
     def __hash__(self):
-        return hash((id(self.ring), self.members))
+        return hash((id(self.ring), self.mask.tobytes()))
 
     def __repr__(self):
         return f"Ideal({self.ring.label}, {self.render()}, size={self.size})"
-
-
-def _array(members) -> np.ndarray:
-    return np.fromiter(members, dtype=np.int64, count=len(members))
-
-
-def _mask(ring, indices) -> np.ndarray:
-    mask = np.zeros(ring.order, dtype=bool)
-    mask[indices] = True
-    return mask
-
-
-def _members(mask) -> frozenset[int]:
-    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def _ideal_closure(ring, gens, within=None) -> np.ndarray:
@@ -85,11 +82,12 @@ def _ideal_closure(ring, gens, within=None) -> np.ndarray:
     return additive_span(ring, seeds, within)[0]
 
 
-def _greedy_generators(ring, members) -> tuple[tuple[int, ...], np.ndarray]:
-    """Least members, ascending, each outside the ideal the earlier ones
-    generate; plus the mask of the ideal they all generate."""
-    candidates = np.sort(_array(members))
-    have = _mask(ring, [ring.zero])
+def _greedy_generators(ring, mask) -> tuple[tuple[int, ...], np.ndarray]:
+    """Least members of the ideal masked by ``mask``, ascending, each outside
+    the ideal the earlier ones generate; plus the mask of the ideal they all
+    generate."""
+    candidates = np.flatnonzero(mask)
+    have = additive_span(ring, ())[0]  # the zero ideal
     gens: list[int] = []
     while True:
         missing = candidates[~have[candidates]]
@@ -99,42 +97,46 @@ def _greedy_generators(ring, members) -> tuple[tuple[int, ...], np.ndarray]:
         have = _ideal_closure(ring, gens[-1:], have)
 
 
-def _make_ideal(ring, members) -> Ideal:
-    return Ideal(ring, members, _greedy_generators(ring, members)[0])
+def _additive_generators(ideal: Ideal) -> list[int]:
+    """Members of the ideal that generate it as an additive group."""
+    return additive_span(ideal.ring, np.flatnonzero(ideal.mask))[1]
+
+
+def _times(ideal: Ideal, gens) -> Ideal:
+    """The additive span of all x·g, x in the ideal, g in ``gens``: the
+    product with the ideal that ``gens`` generate additively, as x·y is
+    additive in y."""
+    ring = ideal.ring
+    seeds = ring.vmul(np.flatnonzero(ideal.mask)[:, None], np.asarray(gens, dtype=np.int64))
+    return Ideal(ring, additive_span(ring, seeds)[0])
 
 
 def unit_ideal(ring: FiniteRing) -> Ideal:
-    return Ideal(ring, frozenset(ring.elements), (ring.one,))
+    return Ideal(ring, np.ones(ring.order, dtype=bool), (ring.one,))
 
 
 def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
     """Smallest ideal containing the given elements."""
-    return _make_ideal(ring, _members(_ideal_closure(ring, tuple(gens))))
-
-
-def _sum_mask(a: Ideal, b: Ideal) -> np.ndarray:
-    return additive_span(a.ring, _array(b.members), _mask(a.ring, _array(a.members)))[0]
+    return Ideal(ring, _ideal_closure(ring, tuple(gens)))
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
-    """The additive span of all x·y (x in a, y in b). Since x·y is additive in
-    x, x may range over an additive generating set of a only."""
+    """The additive span of all x·y (x in a, y in b)."""
     if a.ring is not b.ring:
         raise ValueError("ideals belong to different rings")
-    ring = a.ring
-    gens = np.asarray(additive_span(ring, _array(a.members))[1], dtype=np.int64)
-    seeds = ring.vmul(gens[:, None], _array(b.members)[None, :])
-    return _make_ideal(ring, _members(additive_span(ring, seeds)[0]))
+    return _times(b, _additive_generators(a))
 
 
 def power_chain(n: Ideal) -> list[Ideal]:
     """The powers N^0 (the whole ring), N^1, ..., N^k up to the first k with
-    N^k = N^(k+1); k is the index of N and the chain is stationary from there."""
-    chain = [unit_ideal(n.ring)]
-    nxt = n
-    while nxt.members != chain[-1].members:
+    N^k = N^(k+1); k is the index of N and the chain is stationary from there.
+    N's additive generators are found once, and N^(i+1) is the additive span
+    of x·g for x in N^i and g among them."""
+    gens = _additive_generators(n)
+    chain, nxt = [unit_ideal(n.ring)], n
+    while nxt != chain[-1]:
         chain.append(nxt)
-        nxt = ideal_product(nxt, n)
+        nxt = _times(nxt, gens)
     return chain
 
 
@@ -165,7 +167,7 @@ def _nil_mask(ring) -> np.ndarray:
 
 def nilradical(ring: FiniteRing) -> Ideal:
     """All nilpotent elements."""
-    return _make_ideal(ring, _members(_nil_mask(ring)))
+    return Ideal(ring, _nil_mask(ring))
 
 
 def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, list[int]]:
@@ -183,7 +185,7 @@ def quotient_ring(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, list[int]
         raise ValueError("cannot form a quotient by the unit ideal")
     everything = ring.element_array()
     least = everything.copy()
-    for g in additive_span(ring, _array(ideal.members))[1]:
+    for g in _additive_generators(ideal):
         for _ in range((ideal.size - 1).bit_length()):
             least = np.minimum(least, least[ring.vadd(everything, g)])
             g = ring.add(g, g)
@@ -239,15 +241,16 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
     generators generate exactly M_e, so it is an ideal; 1 is not in it; and
     R/M_e is a field by ``_residue_field_certified``.
 
-    Cached per ring once every certificate has passed, as (members,
-    generators) pairs; each call returns a fresh list of fresh ideals.
+    Cached per ring once every certificate has passed, as (mask,
+    generators) pairs, the masks read-only; each call returns a fresh list of
+    fresh ideals.
     """
     if ring._maximal is None:
         ring._maximal = _certified_maximal(ring)
-    return [Ideal(ring, members, gens) for members, gens in ring._maximal]
+    return [Ideal(ring, mask, gens) for mask, gens in ring._maximal]
 
 
-def _certified_maximal(ring) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+def _certified_maximal(ring) -> list[tuple[np.ndarray, tuple[int, ...]]]:
     nil = _nil_mask(ring)
     everything = ring.element_array()
     idem = np.array(sorted(idempotents(ring) - {ring.zero}), dtype=np.int64)
@@ -256,15 +259,14 @@ def _certified_maximal(ring) -> list[tuple[frozenset[int], tuple[int, ...]]]:
     found = []
     for e in idem[~below.any(axis=0)]:
         mask = nil[ring.vmul(everything, e)]
-        members = _members(mask)
-        gens, generated = _greedy_generators(ring, members)
+        gens, generated = _greedy_generators(ring, mask)
         if (not np.array_equal(generated, mask) or mask[ring.one]
                 or not _residue_field_certified(ring, mask)):
             raise InternalConsistencyError(
-                f"candidate maximal ideal {Ideal(ring, members, gens).render()} "
+                f"candidate maximal ideal {Ideal(ring, mask, gens).render()} "
                 "has a non-field quotient")
-        found.append((members, gens))
-    found.sort(key=lambda m: tuple(sorted(m[0])))
+        found.append((mask, gens))
+    found.sort(key=lambda m: np.flatnonzero(m[0]).tolist())
     return found
 
 
@@ -276,7 +278,7 @@ def units(ring: FiniteRing) -> frozenset[int]:
         maxi = maximal_ideals(ring)  # refuses orders past the array cap first
         outside = np.ones(ring.order, dtype=bool)
         for m in maxi:
-            outside[_array(m.members)] = False
+            outside &= ~m.mask
         claimed = np.flatnonzero(outside)
         if not (vpower(ring.vmul, claimed, claimed.size) == ring.one).all():
             raise InternalConsistencyError(
@@ -294,17 +296,14 @@ def crt_solve(ring: FiniteRing, constraints) -> int:
     constraints = list(constraints)
     if not constraints:
         raise ValueError("at least one congruence constraint is required")
-    for q, _ in constraints:
-        if q.ring is not ring:
-            raise ValueError("constraint ideal belongs to a different ring")
-    for i in range(len(constraints)):
-        for j in range(i + 1, len(constraints)):
-            if not _sum_mask(constraints[i][0], constraints[j][0]).all():
-                raise ValueError(
-                    f"constraint ideals {i} and {j} are not coprime")
+    if any(q.ring is not ring for q, _ in constraints):
+        raise ValueError("constraint ideal belongs to a different ring")
+    for (i, (a, _)), (j, (b, _)) in combinations(enumerate(constraints), 2):
+        if not additive_span(ring, np.flatnonzero(b.mask), a.mask)[0].all():
+            raise ValueError(f"constraint ideals {i} and {j} are not coprime")
     sols = np.ones(ring.order, dtype=bool)
     for q, a in constraints:
-        sols &= _mask(ring, ring.vadd(a, _array(q.members)))
+        sols &= q.mask[ring.vadd(ring.element_array(), ring.neg(a))]  # x - a in Q
     if not sols.any():
         raise InternalConsistencyError("coprime cosets failed to intersect")
     return int(np.argmax(sols))

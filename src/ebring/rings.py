@@ -64,9 +64,9 @@ class FiniteRing:
         self.name: Callable[[int], str] = (
             str if names is None else names if callable(names) else list(names).__getitem__)
         self._units: frozenset[int] | None = None
-        # (members, generators) of each maximal ideal, not the Ideal objects:
+        # (mask, generators) of each maximal ideal, not the Ideal objects:
         # those point back at the ring and would keep it in a reference cycle
-        self._maximal: list[tuple[frozenset[int], tuple[int, ...]]] | None = None
+        self._maximal: list[tuple[np.ndarray, tuple[int, ...]]] | None = None
         self._idempotents: frozenset[int] | None = None
         self._unit_group = None  # groups.unit_group_view's AbelianGroupView
 

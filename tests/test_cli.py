@@ -319,6 +319,44 @@ def test_crosscheck_poly_bad_input(capsys):
     assert capsys.readouterr().err == "error: unexpected trailing input (at position 6: ')')\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["invariants", "Z/\u00b2"], "expected a modulus (at position 2: '\u00b2')"),
+    (["invariants", "Z/\u0663"], "expected a modulus (at position 2: '\u0663')"),
+    (["invariants", "GF(\u0663)"], "expected a field order (at position 3: '\u0663)')"),
+    (["invariants", "GF(2)[x]/(x^\u00b2+1)"], "expected an exponent (at position 12: '\u00b2+1)')"),
+    (["invariants", "GF(2)[x]/(x^2+\u0661)"], "expected a polynomial term (at position 14: '\u0661)')"),
+    (["davenport", "Z\u00b2"], "expected a cyclic order (at position 1: '\u00b2')"),
+    (["crosscheck", "int", "1_000"], "unexpected trailing input (at position 1: '_000')"),
+    (["crosscheck", "int", "+720"], "expected a modulus (at position 0: '+720')"),
+    (["crosscheck", "int", "\u0663"], "expected a modulus (at position 0: '\u0663')"),
+    (["crosscheck", "int", "0x10"], "unexpected trailing input (at position 1: 'x10')"),
+    (["crosscheck", "int", "abc"], "expected a modulus (at position 0: 'abc')"),
+    (["crosscheck", "int", ""], "expected a modulus (at position 0: '')"),
+    (["crosscheck", "int", "-3"], "expected a modulus (at position 0: '-3')"),
+    (["crosscheck", "poly", "+2", "x^2"], "expected a field order (at position 0: '+2')"),
+    (["crosscheck", "poly", "\u0662", "x^2"], "expected a field order (at position 0: '\u0662')"),
+    (["crosscheck", "poly", "0x2", "x^2"], "unexpected trailing input (at position 1: 'x2')"),
+    (["crosscheck", "poly", "", "x^2"], "expected a field order (at position 0: '')"),
+    (["crosscheck", "poly", "2", "x^\u00b2+1"], "expected an exponent (at position 2: '\u00b2+1')"),
+], ids=["superscript-modulus", "arabic-indic-modulus", "arabic-indic-field", "superscript-exponent",
+        "arabic-indic-coefficient", "superscript-cyclic-order", "int-underscore", "int-plus",
+        "int-arabic-indic", "int-hex", "int-letters", "int-empty", "int-minus", "poly-plus",
+        "poly-arabic-indic", "poly-hex", "poly-empty", "poly-superscript-exponent"])
+def test_numbers_are_ascii_digits_only(capsys, argv, err):
+    """A number is a run of the digits 0-9 and nothing else: no sign, no
+    underscore, no base prefix, no other Unicode digit. Each refusal names
+    its position."""
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_crosscheck_numbers_may_be_surrounded_by_space(capsys):
+    assert run(["crosscheck", "int", "12"]) == 0
+    plain = capsys.readouterr()
+    assert run(["crosscheck", "int", " 12 "]) == 0
+    assert capsys.readouterr() == plain
+
+
 def test_ring_spec_dataclass_render():
     spec = parse_ring_spec("Z/6 x GF(4)")
     assert isinstance(spec, RingSpec)

@@ -385,6 +385,8 @@ def test_maximal_ideals_are_fresh_on_each_call():
     want = [(m.members, m.generators) for m in first]
     first.pop()
     first.append(unit_ideal(ring))
+    with pytest.raises(ValueError, match="read-only"):
+        first[0].mask[ring.one] = True
     second = maximal_ideals(ring)
     assert second is not first
     assert [(m.members, m.generators) for m in second] == want
@@ -431,7 +433,7 @@ def test_residue_certificate_tries_doubling_blocks(monkeypatch):
     for n, want, blocks in ((16, False, [1, 2, 4, 8]), (7, True, [1, 2])):
         ring = make_zmod(n)
         sizes.clear()
-        assert ideals._residue_field_certified(ring, ideals._mask(ring, [0])) is want
+        assert ideals._residue_field_certified(ring, ideal_generated_by(ring, []).mask) is want
         assert [size for k, size in sizes if k == n - 1] == blocks, n
 
 
@@ -494,3 +496,78 @@ def test_quotient_ring_matches_naive_coset_build():
             got = (theta, quot._add_t.tolist(), quot._mul_t.tolist(),
                    [quot.name(i) for i in quot.elements])
             assert got == naive, (spec, ideal)
+
+
+def _reference_chain(n):
+    """N^0, N^1, ... by repeated ideal products, up to the first repeat."""
+    chain, nxt = [unit_ideal(n.ring)], n
+    while nxt.members != chain[-1].members:
+        chain.append(nxt)
+        nxt = ideal_product(nxt, n)
+    return chain
+
+
+def _chain_cases():
+    for spec in FAMILY_SPECS:
+        yield spec, family_ring(spec)
+    for seed, spec in enumerate(RELABELLED):
+        ring = family_ring(spec)
+        yield f"relabelled {spec}", relabel(ring, random.Random(seed).sample(range(ring.order),
+                                                                             ring.order))
+
+
+@pytest.mark.parametrize("ring", [pytest.param(ring, id=label) for label, ring in _chain_cases()])
+def test_power_chain_matches_repeated_products(ring):
+    """Each maximal ideal, the nilradical and the ideal generated by the
+    largest non-unit: every power and the index agree with the chain of
+    repeated ideal products."""
+    non_units = sorted(set(ring.elements) - units(ring))
+    for n in [*maximal_ideals(ring), nilradical(ring), ideal_generated_by(ring, non_units[-1:])]:
+        want = _reference_chain(n)
+        assert [p.members for p in power_chain(n)] == [p.members for p in want], n
+        assert ideal_index(n) == len(want) - 1, n
+
+
+def _count_greedy_generators(monkeypatch) -> list[str]:
+    """Patch ``_greedy_generators`` to log the label of each ring it runs on."""
+    calls = []
+    greedy = ideals._greedy_generators
+
+    def counted(ring, mask):
+        calls.append(ring.label)
+        return greedy(ring, mask)
+
+    monkeypatch.setattr(ideals, "_greedy_generators", counted)
+    return calls
+
+
+def test_generators_are_found_only_when_read(monkeypatch):
+    """Products, powers, the nilradical and generated ideals find no
+    generators until ``generators`` is read, and then once; the unit ideal
+    carries (1), also where 1 is not element 1."""
+    ring = build_ring("GF(2)[x]/(x^3) x Z/9")
+    maxi = maximal_ideals(ring)
+    calls = _count_greedy_generators(monkeypatch)
+    made = [ideal_product(maxi[0], maxi[1]), nilradical(ring), ideal_generated_by(ring, [6])]
+    for m in maxi:
+        chain = power_chain(m)
+        assert ideal_index(m) == len(chain) - 1 and ideal_power(m, 2) == chain[2]
+        made += chain[2:]
+    assert calls == []
+    for ideal in made:
+        assert ideal_generated_by(ring, ideal.generators) == ideal
+        assert ideal.generators == ideal.generators
+    assert calls == [ring.label] * len(made)
+    product = build_ring("Z/3 x Z/2")
+    assert product.one != 1
+    assert unit_ideal(product).generators == (product.one,)
+    assert calls == [ring.label] * len(made)
+
+
+def test_maximal_ideal_listing_finds_generators_once_per_ideal(monkeypatch, capsys):
+    """The certificate's generators are the rendered ones, and the index
+    needs none."""
+    calls = _count_greedy_generators(monkeypatch)
+    assert run(["inspect", "GF(2)[x]/(x^8+x^7)", "maxideals"]) == 0
+    assert capsys.readouterr().out == "(x)  size 128  index 7\n(x+1)  size 128  index 1\n"
+    assert calls == ["GF(2)[x]/(x^8+x^7)"] * 2
