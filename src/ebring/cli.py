@@ -257,19 +257,22 @@ def load_table_ring(path: str) -> FiniteRing:
 
 
 def build_ring(spec: RingSpec | str) -> FiniteRing:
+    """The product of the spec's atoms, each distinct atom built once."""
     if isinstance(spec, str):
         spec = parse_ring_spec(spec)
-    rings = []
+    built: dict[object, FiniteRing] = {}
     for atom in spec.atoms:
+        if atom in built:
+            continue
         if isinstance(atom, ZmodAtom):
-            rings.append(make_zmod(atom.n))
+            built[atom] = make_zmod(atom.n)
         elif isinstance(atom, FieldAtom):
-            rings.append(make_gf(atom.q))
+            built[atom] = make_gf(atom.q)
         elif isinstance(atom, QuotientAtom):
-            base = make_gf(atom.q)
-            rings.append(make_poly_quotient(base, atom.coeffs))
+            built[atom] = make_poly_quotient(make_gf(atom.q), atom.coeffs)
         else:
-            rings.append(load_table_ring(atom.path))
+            built[atom] = load_table_ring(atom.path)
+    rings = [built[atom] for atom in spec.atoms]
     if len(rings) == 1:
         return rings[0]
     return make_product(rings)
@@ -345,16 +348,19 @@ def _trace_doc(trace) -> dict:
 # subcommands -------------------------------------------------------------------
 
 def _budget_from(args) -> int | None:
-    nodes, source = args.budget, "--budget"
-    if nodes is None and os.environ.get(BUDGET_ENV):
+    """The node count of ``--budget``, else of ``$EBRING_BUDGET``, else None.
+    A count is ASCII digits, as spec numbers are, with surrounding space."""
+    text, source = args.budget, "--budget"
+    if text is None and os.environ.get(BUDGET_ENV):
         text, source = os.environ[BUDGET_ENV], BUDGET_ENV
-        try:
-            nodes = int(text)
-        except ValueError:
-            raise ValueError(f"{source} must be a nonnegative node count, got {text!r}") from None
-    if nodes is not None and nodes < 0:
-        raise ValueError(f"{source} must be a nonnegative node count, got {nodes}")
-    return nodes
+    if text is None:
+        return None
+    digits = text.strip()
+    if digits.isascii() and digits.isdigit():
+        return int(digits)
+    negative = digits[:1] == "-" and digits[1:].isascii() and digits[1:].isdigit()
+    raise ValueError(f"{source} must be a nonnegative node count, "
+                     f"got {digits if negative else repr(text)}")
 
 
 def _cmd_invariants(args) -> int:
@@ -495,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", default=None,
                        help=f"search node budget (default from ${BUDGET_ENV})")
 
     p = sub.add_parser("invariants", help="full invariant report for a ring")

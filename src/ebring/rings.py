@@ -154,9 +154,13 @@ def additive_span(ring: FiniteRing, seeds, within=None) -> tuple[np.ndarray, lis
     that enlarged it, in seed order.
 
     A seed s outside the current subgroup H adds the cosets H + ks in doubling
-    steps: H + {0..2^j - 1}s grows by translation by 2^j s until a step adds
-    nothing. Every element it adds is a sum of a member and seeds, so on
-    tables not yet known to form a ring it still adds nothing else.
+    steps: H + {0..2^j - 1}s grows by translation by 2^j s until 2^j s is
+    inside it. The set holds zero, so a translate grows it exactly when the
+    step is outside, and once 2^j s is inside, the set is the subgroup
+    H + <s>. The loop ends because a translate puts the step itself in the
+    set, as zero + step = step, which ``validate_ring`` checks before it
+    spans. Every element added is a sum of a member and seeds, so on tables
+    not yet known to form a ring it still adds nothing else.
     """
     mask = np.zeros(ring.order, dtype=bool) if within is None else within.copy()
     mask[ring.zero] = True
@@ -168,13 +172,9 @@ def additive_span(ring: FiniteRing, seeds, within=None) -> tuple[np.ndarray, lis
             return mask, used
         step = int(pending[0])
         used.append(step)
-        members = np.flatnonzero(mask)
-        while True:
-            mask[ring.vadd(members, step)] = True
-            grown = np.flatnonzero(mask)
-            if grown.size == members.size:
-                break
-            members, step = grown, ring.add(step, step)
+        while not mask[step]:
+            mask[ring.vadd(np.flatnonzero(mask), step)] = True
+            step = ring.add(step, step)
 
 
 # axioms -------------------------------------------------------------------
@@ -191,12 +191,15 @@ def validate_ring(ring: FiniteRing) -> None:
     test, Clifford–Preston I §1.2; for distributivity once + is associative,
     for · once distributivity holds), so G certifies every triple. Cost
     O(|G|·n²) instead of O(n³); |G| is at most 1 + log2(n) for a ring.
-    Commutativity, checked first, turns each identity into row gathers: with
-    T = (rows g∘x of the table), (x∘g)∘y = T[x, y] and x∘(g∘y) = T[y, x],
-    so associativity at g says T is symmetric, and the two sides of
-    distributivity are the rows g + y of · and the sums g·x + x·y, gathered
-    from the flat + table. Each compared array equals the direct one entry
-    by entry, so the first failing (x, g, y) is the same.
+    Commutativity, checked first, turns each side into a gather of whole rows
+    or columns of one table, with no transpose: (x∘g)∘y is the row gather
+    t.take(t[g], axis=0) and x∘(g∘y) the column gather t.take(t[g], axis=1);
+    x·(g + y) is the column gather m.take(a[g], axis=1), and g·x + x·y is the
+    row gather a.take(m[g], axis=0) read at the flat indices x·n + x·y, one
+    index plane built per call. Each compared array equals the direct one
+    entry by entry, so the first failing (x, g, y) is the same. The gathers
+    read uint16 copies of the tables, made once the closure checks have
+    passed (every order up to ``TABLE_CAP`` fits): half the bytes of int32.
 
     Reads the tables, so it only applies up to the table cap.
     """
@@ -210,6 +213,7 @@ def validate_ring(ring: FiniteRing) -> None:
         if not np.array_equal(t, t.T):
             bad = np.argwhere(t != t.T)[0]
             raise AxiomViolation(f"{opname} commutativity", (int(bad[0]), int(bad[1])))
+    a, m = a.astype(np.uint16), m.astype(np.uint16)
     if ring.zero == ring.one:
         raise AxiomViolation("distinct identities", (ring.zero,))
     if not np.array_equal(a[ring.zero], rng):
@@ -221,12 +225,12 @@ def validate_ring(ring: FiniteRing) -> None:
     if not bool((a == ring.zero).any(axis=1).all()):
         i = int(np.argwhere(~(a == ring.zero).any(axis=1))[0][0])
         raise AxiomViolation("additive inverse", (i,))
+    plane = m + n * rng[:, None]  # flat index of (x, x·y) in an n-by-n array
     for g in [ring.zero] + additive_span(ring, rng)[1]:
-        t_add, t_mul = a.take(a[g], axis=0), m.take(m[g], axis=0)
         for axiom, left, right in (
-                ("addition associativity", t_add, t_add.T),
-                ("multiplication associativity", t_mul, t_mul.T),
-                ("distributivity", m.take(a[g], axis=0).T, a.take(m[g][:, None] * n + m))):
+                ("addition associativity", a.take(a[g], axis=0), a.take(a[g], axis=1)),
+                ("multiplication associativity", m.take(m[g], axis=0), m.take(m[g], axis=1)),
+                ("distributivity", m.take(a[g], axis=1), a.take(m[g], axis=0).take(plane))):
             if not np.array_equal(left, right):
                 x, y = np.argwhere(left != right)[0]
                 raise AxiomViolation(axiom, (int(x), g, int(y)))

@@ -7,6 +7,7 @@ profile, so every run draws the same examples."""
 from __future__ import annotations
 
 import math
+import random
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -245,6 +246,28 @@ def units_oracle(ring):
     return frozenset(np.flatnonzero(hit).tolist())
 
 
+def span_reference(ring, seeds, within=None):
+    """The additive span by doubling translates that stop only at a translate
+    that adds nothing: the reference for ``additive_span``, which stops as
+    soon as the step is inside the set and must give the same mask and the
+    same seeds."""
+    mask = np.zeros(ring.order, dtype=bool) if within is None else within.copy()
+    mask[ring.zero] = True
+    used = []
+    for seed in np.asarray(seeds, dtype=np.int64).ravel().tolist():
+        if mask[seed]:
+            continue
+        used.append(seed)
+        members, step = np.flatnonzero(mask), seed
+        while True:
+            mask[ring.vadd(members, step)] = True
+            grown = np.flatnonzero(mask)
+            if grown.size == members.size:
+                break
+            members, step = grown, ring.add(step, step)
+    return mask, used
+
+
 def product_reference(factors):
     """The add and mul tables, zero, one and element names of the product of
     ``factors`` from the componentwise kernel: split the indices into digits,
@@ -324,6 +347,17 @@ def family_ring(spec: str):
     if spec not in _family_cache:
         _family_cache[spec] = build_ring(spec)
     return _family_cache[spec]
+
+
+def family_and_relabelled():
+    """(label, ring): every ``FAMILY_SPECS`` ring, then a relabelled twin of
+    every ``RELABELLED`` ring, seed i relabelling the i-th."""
+    for spec in FAMILY_SPECS:
+        yield spec, family_ring(spec)
+    for seed, spec in enumerate(RELABELLED):
+        ring = family_ring(spec)
+        yield f"relabelled {spec}", relabel(ring, random.Random(seed).sample(range(ring.order),
+                                                                             ring.order))
 
 
 @pytest.fixture(scope="session")

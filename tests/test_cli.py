@@ -10,12 +10,15 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ebring import SpecParseError, build_ring, parse_group_spec, parse_ring_spec, report, serialize_report
-from ebring import ideals, search
+from ebring import cli, ideals, search
 from ebring.cli import BUDGET_ENV, RingSpec, _build_parser, run
+
+from conftest import product_reference
 
 VALID_SPECS = (
     [f"Z/{n}" for n in range(2, 17)]
@@ -116,6 +119,36 @@ def test_table_ring_file(tmp_path):
     ring = build_ring(f"table:{path}")
     assert ring.order == 4
     assert sorted(ebring.units(ring)) == [1, 3]
+
+
+def test_build_ring_builds_each_atom_once(monkeypatch, tmp_path):
+    """A spec that repeats an atom builds it once and takes it as every such
+    factor: the product's tables, zero, one, label and element names are
+    those of the product of separately built atoms."""
+    path = tmp_path / "z4.json"
+    path.write_text(json.dumps({"n": 4, "add": [(i + j) % 4 for i in range(4) for j in range(4)],
+                                "mul": [i * j % 4 for i in range(4) for j in range(4)],
+                                "names": ["0", "1", "2", "3"]}))
+    cases = [("GF(2) x Z/3 x GF(2) x GF(2)", ["GF(2)", "Z/3", "GF(2)", "GF(2)"],
+              {("make_gf", (2,)): 1, ("make_zmod", (3,)): 1}),
+             (f"table:{path} x Z/2 x table:{path}", [f"table:{path}", "Z/2", f"table:{path}"],
+              {("load_table_ring", (str(path),)): 1, ("make_zmod", (2,)): 1})]
+    factors = [[build_ring(atom) for atom in atoms] for _, atoms, _ in cases]
+    calls: dict = {}
+    for name in ("make_gf", "make_zmod", "load_table_ring"):
+        def counted(*args, name=name, build=getattr(cli, name)):
+            calls[name, args] = calls.get((name, args), 0) + 1
+            return build(*args)
+        monkeypatch.setattr(cli, name, counted)
+    for (spec, _, expected), parts in zip(cases, factors):
+        calls.clear()
+        ring = build_ring(spec)
+        assert calls == expected, spec
+        add, mul, zero, one, names = product_reference(parts)
+        assert np.array_equal(ring._add_t, add) and np.array_equal(ring._mul_t, mul), spec
+        assert (ring.zero, ring.one) == (zero, one)
+        assert ring.label == " x ".join(f.label for f in parts) == spec
+        assert [ring.name(i) for i in ring.elements] == names
 
 
 def test_table_ring_file_missing_fields(tmp_path):
@@ -480,6 +513,19 @@ def test_negative_budget_is_a_usage_error(capsys, monkeypatch):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: EBRING_BUDGET must be a nonnegative node count, got {shown}\n"
+    # a count is ASCII digits, as spec numbers are, not Python's integer syntax
+    monkeypatch.delenv("EBRING_BUDGET")
+    for value in ("\u0663", "1_000", "+5"):
+        assert run(["construct", "Z/12", "--budget", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --budget must be a nonnegative node count, got {value!r}\n"
+        monkeypatch.setenv("EBRING_BUDGET", value)
+        assert run(["construct", "Z/12"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: EBRING_BUDGET must be a nonnegative node count, got {value!r}\n"
+        monkeypatch.delenv("EBRING_BUDGET")
 
 
 def test_construct_takes_the_budget(capsys, monkeypatch):

@@ -11,8 +11,8 @@ from ebring import (InternalConsistencyError, build_ring, crt_solve, gfpoly,
                     unit_ideal, units)
 from ebring.cli import FieldAtom, QuotientAtom, parse_ring_spec, run
 
-from conftest import (RELABELLED, family_ring, FAMILY_SPECS, is_valid_ideal, relabel,
-                      units_oracle)
+from conftest import (RELABELLED, family_and_relabelled, family_ring, FAMILY_SPECS,
+                      is_valid_ideal, relabel, units_oracle)
 
 
 def test_generated_by_even_residues():
@@ -507,16 +507,7 @@ def _reference_chain(n):
     return chain
 
 
-def _chain_cases():
-    for spec in FAMILY_SPECS:
-        yield spec, family_ring(spec)
-    for seed, spec in enumerate(RELABELLED):
-        ring = family_ring(spec)
-        yield f"relabelled {spec}", relabel(ring, random.Random(seed).sample(range(ring.order),
-                                                                             ring.order))
-
-
-@pytest.mark.parametrize("ring", [pytest.param(ring, id=label) for label, ring in _chain_cases()])
+@pytest.mark.parametrize("ring", [pytest.param(ring, id=label) for label, ring in family_and_relabelled()])
 def test_power_chain_matches_repeated_products(ring):
     """Each maximal ideal, the nilradical and the ideal generated by the
     largest non-unit: every power and the index agree with the chain of

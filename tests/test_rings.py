@@ -8,11 +8,11 @@ from ebring import (AxiomViolation, BudgetExceeded, FiniteRing, exact_eb, gfpoly
                     make_poly_quotient, make_product, make_zmod, maximal_ideals, nilradical,
                     units, validate_ring)
 from ebring import erdos_burgess, rings
-from ebring.cli import run
-from ebring.rings import MixedRadix, _prime_power, prime_factors
+from ebring.cli import build_ring, run
+from ebring.rings import MixedRadix, _prime_power, additive_span, prime_factors
 
-from conftest import (FAMILY_SPECS, RELABELLED, exhaustive_validate, family_ring,
-                      light_reference, product_reference, relabel)
+from conftest import (FAMILY_SPECS, RELABELLED, exhaustive_validate, family_and_relabelled,
+                      family_ring, light_reference, product_reference, relabel, span_reference)
 
 
 def test_zmod_smallest_field():
@@ -406,6 +406,67 @@ def test_validator_row_gathers_keep_the_axiom_and_witness(monkeypatch):
     same witness tuple as Light's test indexed directly."""
     for spec, pick, bad in _corrupted_rings(monkeypatch):
         assert _verdict(validate_ring, bad) == _verdict(light_reference, bad), (spec, pick)
+
+
+_GF2_8 = " x ".join(["GF(2)"] * 8)
+
+
+@pytest.mark.parametrize("spec, cases", [
+    (_GF2_8, [((0, 255, 254, 5), "addition associativity"),
+              ((1, 254, 0, 3), "multiplication associativity"),
+              ((1, 44, 45, 2), "distributivity"),
+              ((0, 255, 254, None), "addition closure")]),
+    ("GF(2)[x]/(x^9)", [((0, 509, 510, 7), "addition associativity"),
+                        ((1, 400, 0, 3), "multiplication associativity"),
+                        ((0, 511, 510, 5), "distributivity"),
+                        ((1, 511, 510, None), "multiplication closure")]),
+])
+def test_validator_keeps_the_witness_above_256_elements(monkeypatch, spec, cases):
+    """Past 256 elements the uint16 copies of the tables and the flat index
+    plane of distributivity (entries up to n²) still give Light's verdicts:
+    one symmetric corruption per axiom class. An entry of 2^16 plus the
+    true value, which a uint16 copy would wrap back to it, is still closure."""
+    ring = family_ring(spec)
+    monkeypatch.setattr(rings, "VALIDATION_CAP", 0)
+    for (t, i, j, v), axiom in cases:
+        tables = [ring._add_t.copy(), ring._mul_t.copy()]
+        tables[t][i, j] = tables[t][j, i] = (1 << 16) + tables[t][i, j] if v is None else v
+        bad = FiniteRing(ring.order, ring.zero, ring.one, "corrupted", tables=tables)
+        verdict = _verdict(validate_ring, bad)
+        assert verdict == _verdict(light_reference, bad), (spec, t, i, j)
+        assert verdict[0] == axiom, verdict
+
+
+@pytest.mark.parametrize("ring", [pytest.param(ring, id=label) for label, ring in family_and_relabelled()])
+def test_span_matches_the_doubling_reference(ring):
+    """Stopping once the step is inside the set gives the mask and the seeds
+    of translating until a translate adds nothing: over all elements, and
+    over all elements from each maximal ideal."""
+    everything = ring.element_array()
+    for within in [None] + [m.mask for m in maximal_ideals(ring)]:
+        mask, used = additive_span(ring, everything, within)
+        ref_mask, ref_used = span_reference(ring, everything, within)
+        assert np.array_equal(mask, ref_mask) and used == ref_used
+
+
+@pytest.mark.parametrize("spec, reference, translates", [
+    (_GF2_8, 16, 8), ("GF(3)[x]/(x^5+x^4)", 15, 10), ("Z/2 x Z/16", 7, 5)])
+def test_span_stops_without_a_translate_that_adds_nothing(spec, reference, translates):
+    """Translates (``vadd`` calls with an array argument) of a span over all
+    elements: one per doubling that grows the set, none to find it stopped."""
+    ring = build_ring(spec)
+    arrays = []
+    vadd = ring.vadd
+
+    def counting(x, y):
+        arrays.append(np.ndim(x) + np.ndim(y) > 0)
+        return vadd(x, y)
+
+    ring.vadd = counting
+    for span, expected in ((span_reference, reference), (additive_span, translates)):
+        arrays.clear()
+        span(ring, ring.element_array())
+        assert sum(arrays) == expected, span
 
 
 def _relabeled_gf3():
