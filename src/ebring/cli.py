@@ -13,16 +13,25 @@ polynomial must be monic after reduction. Group specs follow
 
 Table ring file: a JSON document with fields ``n`` (integer), ``add`` and
 ``mul`` (n*n integers, row-major) and optional ``names`` (n strings).
+
+Command lines are read against one table, ``_COMMANDS``: each subcommand's
+positionals, flags, ``--budget`` and fixed choices. Options may come before,
+between or after the positionals; ``--budget N`` and ``--budget=N`` are the
+same, and the last one given wins; a unique prefix of a long option names it
+(``--js``); ``--`` ends the options; a token that looks like a negative
+number (``-1``, ``-3``) is a value. ``-h``/``--help`` prints the usage to
+stdout and exits 0. A line the table refuses prints the usage and an error
+naming the bad token to stderr and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -239,7 +248,10 @@ def parse_group_spec(text: str) -> list[int]:
 def load_table_ring(path: str) -> FiniteRing:
     """Load the JSON table-ring document described in the module docstring."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"table ring file {path} nests too deeply to read") from None
 
     def ints(value):  # type(v) is int for every entry, so bools and floats are refused
         return isinstance(value, list) and set(map(type, value)) <= {int}
@@ -493,62 +505,228 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``run`` and kept for the process."""
-    top = argparse.ArgumentParser(prog="ebring",
-                                  description="Exact invariants of finite commutative rings")
-    sub = top.add_subparsers(dest="command", required=True)
+# command line ---------------------------------------------------------------------
 
-    def common(p):
-        p.add_argument("--budget", default=None,
-                       help=f"search node budget (default from ${BUDGET_ENV})")
+class _Command:
+    """A subcommand's grammar: its positionals in order, the last taking one
+    or more values with ``variadic``; ``choices``, the fixed values of some
+    positionals; ``flags``, (option, help) pairs that set the attribute named
+    after the option; and whether it takes ``--budget N``. The handler gets
+    each one as an attribute. (A plain class: a dataclass costs about a
+    millisecond of import.)"""
 
-    p = sub.add_parser("invariants", help="full invariant report for a ring")
-    p.add_argument("ring_spec")
-    p.add_argument("--exact", action="store_true", help="run the exhaustive search")
-    p.add_argument("--json", action="store_true")
-    common(p)
-    p.set_defaults(fn=_cmd_invariants)
+    def __init__(self, handler, summary, positionals, flags=(), budget=False, choices=None,
+                 variadic=False):
+        self.handler, self.summary, self.positionals = handler, summary, positionals
+        self.flags, self.budget, self.variadic = flags, budget, variadic
+        self.choices = choices or {}
 
-    p = sub.add_parser("construct", help="build and verify the extremal free sequence")
-    p.add_argument("ring_spec")
-    p.add_argument("--json", action="store_true")
-    common(p)
-    p.set_defaults(fn=_cmd_construct)
+    def shown(self, positional) -> str:
+        """A positional as usage and help show it: its name, or its choices."""
+        choices = self.choices.get(positional)
+        return "{" + ",".join(choices) + "}" if choices else positional
 
-    p = sub.add_parser("davenport", help="exact Davenport constant of an abelian group")
-    p.add_argument("group_spec")
-    p.add_argument("--json", action="store_true")
-    common(p)
-    p.set_defaults(fn=_cmd_davenport)
 
-    p = sub.add_parser("verify", help="exhaustive search checked against every bound")
-    p.add_argument("ring_spec")
-    common(p)
-    p.set_defaults(fn=_cmd_verify)
+_COMMANDS = {
+    "invariants": _Command(_cmd_invariants, "full invariant report for a ring", ("ring_spec",),
+                           (("--exact", "run the exhaustive search"), ("--json", "")),
+                           budget=True),
+    "construct": _Command(_cmd_construct, "build and verify the extremal free sequence",
+                          ("ring_spec",), (("--json", ""),), budget=True),
+    "davenport": _Command(_cmd_davenport, "exact Davenport constant of an abelian group",
+                          ("group_spec",), (("--json", ""),), budget=True),
+    "verify": _Command(_cmd_verify, "exhaustive search checked against every bound",
+                       ("ring_spec",), budget=True),
+    "crosscheck": _Command(_cmd_crosscheck, "factorization coincidence record",
+                           ("kind", "values"), choices={"kind": ("int", "poly")},
+                           variadic=True),
+    "inspect": _Command(_cmd_inspect, "element listings", ("ring_spec", "what"),
+                        choices={"what": ("units", "idempotents", "maxideals", "nilradical")}),
+}
 
-    p = sub.add_parser("crosscheck", help="factorization coincidence record")
-    p.add_argument("kind", choices=["int", "poly"])
-    p.add_argument("values", nargs="+")
-    p.set_defaults(fn=_cmd_crosscheck)
 
-    p = sub.add_parser("inspect", help="element listings")
-    p.add_argument("ring_spec")
-    p.add_argument("what", choices=["units", "idempotents", "maxideals", "nilradical"])
-    p.set_defaults(fn=_cmd_inspect)
+def _usage(name) -> str:
+    """The usage line of subcommand ``name``, or of the program for None."""
+    if name is None:
+        return f"usage: ebring [-h]\n{' ' * 14}{{{','.join(_COMMANDS)}}} ..."
+    cmd = _COMMANDS[name]
+    words = ["[-h]", *(f"[{flag}]" for flag, _ in cmd.flags)]
+    if cmd.budget:
+        words.append("[--budget BUDGET]")
+    words += map(cmd.shown, cmd.positionals)
+    if cmd.variadic:
+        words.append(f"[{words[-1]} ...]")
+    return f"usage: ebring {name} {' '.join(words)}"
 
-    return top
+
+def _help(name) -> str:
+    """The ``-h`` text of subcommand ``name``, or of the program for None, in
+    argparse's layout at 80 columns: each row's help starts two columns past
+    the widest row, at column 24 at most."""
+    if name is None:
+        head = [_usage(None), "", "Exact invariants of finite commutative rings"]
+        positional = [(2, "{" + ",".join(_COMMANDS) + "}", "")]
+        positional += [(4, sub, cmd.summary) for sub, cmd in _COMMANDS.items()]
+        options = []
+    else:
+        cmd = _COMMANDS[name]
+        head = [_usage(name)]
+        positional = [(2, cmd.shown(p), "") for p in cmd.positionals]
+        options = [(2, flag, text) for flag, text in cmd.flags]
+        if cmd.budget:
+            options.append((2, "--budget BUDGET", f"search node budget (default from ${BUDGET_ENV})"))
+    options.insert(0, (2, "-h, --help", "show this help message and exit"))
+    column = min(max(indent + len(left) for indent, left, _ in positional + options) + 2, 24)
+
+    def rows(entries):
+        return [f"{' ' * indent}{left:<{column - indent - 2}}  {text}" if text
+                else " " * indent + left for indent, left, text in entries]
+
+    return "\n".join([*head, "", "positional arguments:", *rows(positional), "",
+                      "options:", *rows(options)])
+
+
+def _refuse(name, message):
+    """Print the usage of ``name`` (None: the program) and ``message``; exit 2."""
+    print(f"{_usage(name)}\nebring{' ' + name if name else ''}: error: {message}",
+          file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read_option(token: str, options, name):
+    """How ``token``, ahead of any ``--``, reads among ``options``: None for a
+    value, else (the option it names, or None for an unknown one; the value
+    after '=' or after ``-h``, or None). These are argparse's rules: a unique
+    prefix names a long option, a token that looks like a negative number or
+    holds a space is a value, and every other token that starts with '-' is
+    an option."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return token, None
+    option, eq, value = token.partition("=")
+    if eq and option in options:
+        return option, value
+    if token[1] == "-":
+        matches = [o for o in options if o.startswith(option)]
+        value = value if eq else None
+    else:
+        matches = [token[:2]] if token[:2] in options else []
+        value = token[2:]
+    if len(matches) > 1:
+        _refuse(name, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
+
+
+def _help_option(name, option, value):
+    """``-h`` or ``--help``: print the help and exit 0. A value attached is
+    refused, except that ``-hh`` is ``-h -h``."""
+    if value is None or (option == "-h" and value and not value.strip("h")):
+        print(_help(name))
+        raise SystemExit(0)
+    _refuse(name, f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _parse_command(name, tokens):
+    """The attributes of subcommand ``name`` from the tokens after it, and the
+    tokens no rule takes. Every token is read before any is taken, so an
+    ambiguous prefix is refused even after ``-h``. A run of values between
+    options fills the positionals still open, in order; a ``--`` next to a
+    value that a positional takes is dropped, and any other is left over."""
+    cmd = _COMMANDS[name]
+    options = ["-h", "--help", *(flag for flag, _ in cmd.flags)]
+    if cmd.budget:
+        options.append("--budget")
+    read = []
+    for i, token in enumerate(tokens):
+        if token == "--":
+            read += ["--"] + [None] * (len(tokens) - i - 1)
+            break
+        read.append(_read_option(token, options, name))
+    attrs = {"command": name, **{flag[2:]: False for flag, _ in cmd.flags}}
+    if cmd.budget:
+        attrs["budget"] = None
+    wanted, extras, i = list(cmd.positionals), [], 0
+    while i < len(tokens):
+        if isinstance(read[i], tuple):
+            (option, value), i = read[i], i + 1
+            if option is None:
+                extras.append(tokens[i - 1])
+            elif option in ("-h", "--help"):
+                _help_option(name, option, value)
+            elif option != "--budget":
+                if value is not None:
+                    _refuse(name, f"argument {option}: ignored explicit argument {value!r}")
+                attrs[option[2:]] = True
+            elif value is not None:
+                attrs["budget"] = value
+            elif i < len(tokens) and read[i] is None:
+                attrs["budget"], i = tokens[i], i + 1
+            else:
+                _refuse(name, "argument --budget: expected one argument")
+            continue
+        end = i
+        while end < len(tokens) and not isinstance(read[end], tuple):
+            end += 1
+        while wanted and None in read[i:end]:
+            first = read.index(None, i, end)
+            if cmd.variadic and len(wanted) == 1:
+                stop = end
+            else:
+                stop = first + 2 if read[first + 1:first + 2] == ["--"] else first + 1
+            taken = tokens[i:stop]
+            if "--" in taken:  # the first "--" among a positional's tokens is dropped
+                taken.remove("--")
+            key = wanted.pop(0)
+            choices = cmd.choices.get(key)
+            if (cmd.variadic and not wanted) or len(taken) != 1:
+                attrs[key] = taken  # "-- --" leaves a single positional [], as in argparse
+            elif choices is None or taken[0] in choices:
+                attrs[key] = taken[0]
+            else:
+                _refuse(name, f"argument {key}: invalid choice: {taken[0]!r} "
+                              f"(choose from {', '.join(map(repr, choices))})")
+            i = stop
+        extras += tokens[i:end]
+        i = end
+    if wanted:
+        _refuse(name, f"the following arguments are required: {', '.join(wanted)}")
+    return attrs, extras
+
+
+def _parse(argv):
+    """The subcommand named in ``argv`` and its handler's attributes. ``-h``
+    prints help and raises SystemExit(0); a refused line prints the usage and
+    an error to stderr and raises SystemExit(2)."""
+    extras = []
+    for i, token in enumerate(argv):
+        read = None if token == "--" else _read_option(token, ("-h", "--help"), None)
+        if read is None:
+            if token not in _COMMANDS:
+                _refuse(None, f"argument command: invalid choice: {token!r} "
+                              f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            attrs, more = _parse_command(token, argv[i + 1:])
+            if extras or more:
+                _refuse(token, f"unrecognized arguments: {' '.join(extras + more)}")
+            return token, attrs
+        if read[0] is None:
+            extras.append(token)
+        else:
+            _help_option(None, *read)
+    _refuse(None, "the following arguments are required: command")
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        name, attrs = _parse(list(argv))
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
-        return args.fn(args)
+        return _COMMANDS[name].handler(SimpleNamespace(**attrs))
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ebring import SpecParseError, build_ring, parse_group_spec, parse_ring_spec, report, serialize_report
 from ebring import cli, ideals, search
-from ebring.cli import BUDGET_ENV, RingSpec, _build_parser, run
+from ebring.cli import BUDGET_ENV, RingSpec, run
 
 from conftest import product_reference
 
@@ -158,6 +158,20 @@ def test_table_ring_file_missing_fields(tmp_path):
         build_ring(f"table:{path}")
 
 
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+def test_deeply_nested_table_file_is_refused(capsys, tmp_path):
+    """A table file nested past the JSON reader's recursion limit is bad
+    input, exit 2 naming the file, not a RecursionError traceback (exit 1)."""
+    path = tmp_path / "deep.json"
+    for text in (_DEEP, '{"n": 2, "add": ' + _DEEP + ', "mul": [0, 0, 0, 1]}'):
+        path.write_text(text)
+        assert run(["invariants", f"table:{path}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: table ring file {path} nests too deeply to read\n")
+
+
 def test_serialize_report_field_names():
     rep = report(build_ring("Z/12"), exact=True)
     doc = json.loads(serialize_report(rep))
@@ -208,6 +222,220 @@ def test_run_threads_validation(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+# The command-line grammar, pinned as argv -> (exit code, stdout, a token that
+# stderr must name). The help texts are argparse's layout at 80 columns.
+_SUBCOMMANDS = ["invariants", "construct", "davenport", "verify", "crosscheck", "inspect"]
+_BUDGET_HELP = "  --budget BUDGET  search node budget (default from $EBRING_BUDGET)\n"
+_HELP = {
+    "": ("usage: ebring [-h]\n"
+         "              {invariants,construct,davenport,verify,crosscheck,inspect} ...\n\n"
+         "Exact invariants of finite commutative rings\n\n"
+         "positional arguments:\n"
+         "  {invariants,construct,davenport,verify,crosscheck,inspect}\n"
+         "    invariants          full invariant report for a ring\n"
+         "    construct           build and verify the extremal free sequence\n"
+         "    davenport           exact Davenport constant of an abelian group\n"
+         "    verify              exhaustive search checked against every bound\n"
+         "    crosscheck          factorization coincidence record\n"
+         "    inspect             element listings\n\n"
+         "options:\n"
+         "  -h, --help            show this help message and exit\n"),
+    "invariants": ("usage: ebring invariants [-h] [--exact] [--json] [--budget BUDGET] ring_spec\n\n"
+                   "positional arguments:\n  ring_spec\n\n"
+                   "options:\n  -h, --help       show this help message and exit\n"
+                   "  --exact          run the exhaustive search\n  --json\n" + _BUDGET_HELP),
+    "construct": ("usage: ebring construct [-h] [--json] [--budget BUDGET] ring_spec\n\n"
+                  "positional arguments:\n  ring_spec\n\n"
+                  "options:\n  -h, --help       show this help message and exit\n"
+                  "  --json\n" + _BUDGET_HELP),
+    "davenport": ("usage: ebring davenport [-h] [--json] [--budget BUDGET] group_spec\n\n"
+                  "positional arguments:\n  group_spec\n\n"
+                  "options:\n  -h, --help       show this help message and exit\n"
+                  "  --json\n" + _BUDGET_HELP),
+    "verify": ("usage: ebring verify [-h] [--budget BUDGET] ring_spec\n\n"
+               "positional arguments:\n  ring_spec\n\n"
+               "options:\n  -h, --help       show this help message and exit\n" + _BUDGET_HELP),
+    "crosscheck": ("usage: ebring crosscheck [-h] {int,poly} values [values ...]\n\n"
+                   "positional arguments:\n  {int,poly}\n  values\n\n"
+                   "options:\n  -h, --help  show this help message and exit\n"),
+    "inspect": ("usage: ebring inspect [-h] ring_spec {units,idempotents,maxideals,nilradical}\n\n"
+                "positional arguments:\n  ring_spec\n  {units,idempotents,maxideals,nilradical}\n\n"
+                "options:\n  -h, --help            show this help message and exit\n"),
+}
+_UNITS = "1,5,7,11\n"
+_DAV = "group      Z2 x Z2  (order 4)\ndavenport  3\nwitness    (1,0),(0,1)\n"
+_DAV_JSON = ('{\n  "group": "Z2 x Z2",\n  "order": 4,\n  "davenport": 3,\n'
+             '  "witness": [\n    "(1,0)",\n    "(0,1)"\n  ]\n}\n')
+_Z2_EXACT = ("ring            Z/2\norder           2\nunits           1  (invariant factors [])\n"
+             "davenport       1\nmaximal ideal   (0)  size 1  index 1\nlower bound     1\n"
+             "exact value     1\nupper bound     1  (non-idempotent count + 1)\n"
+             "equality case   both\nwitness         \n")
+_GRAMMAR = [
+    # options before, between or after the positionals
+    (["davenport", "Z2xZ2", "--json"], 0, _DAV_JSON, None),
+    (["davenport", "--json", "Z2xZ2"], 0, _DAV_JSON, None),
+    (["inspect", "Z/12", "units"], 0, _UNITS, None),
+    (["invariants", "--exact", "Z/2"], 0, _Z2_EXACT, None),
+    (["--json", "davenport", "Z2xZ2"], 2, "", "--json"),
+    # --budget N and --budget=N, the last one given winning (0 nodes exits 3)
+    (["davenport", "--budget", "9", "Z2xZ2"], 0, _DAV, None),
+    (["davenport", "Z2xZ2", "--budget=9", "--json"], 0, _DAV_JSON, None),
+    (["davenport", "Z2xZ2", "--budget", "0", "--budget", "9"], 0, _DAV, None),
+    (["davenport", "Z2xZ2", "--budget=9", "--budget", "0"], 3, "", "Z2 x Z2"),
+    (["davenport", "Z2xZ2", "--json", "--json"], 0, _DAV_JSON, None),
+    # unique prefixes of long options
+    (["davenport", "Z2xZ2", "--js"], 0, _DAV_JSON, None),
+    (["davenport", "Z2xZ2", "--j", "--bud", "9"], 0, _DAV_JSON, None),
+    (["davenport", "Z2xZ2", "--bud=0"], 3, "", "Z2 x Z2"),
+    (["invariants", "Z/2", "--ex"], 0, _Z2_EXACT, None),
+    (["davenport", "Z2xZ2", "--ex"], 2, "", "--ex"),
+    (["davenport", "Z2xZ2", "--=1"], 2, "", "--=1"),
+    # -- ends the options
+    (["davenport", "--json", "--", "Z2xZ2"], 0, _DAV_JSON, None),
+    (["inspect", "--", "Z/12", "units"], 0, _UNITS, None),
+    (["davenport", "--", "--json"], 2, "", "--json"),
+    (["crosscheck", "int", "--", "-h"], 2, "", "'-h'"),
+    (["davenport", "Z2xZ2", "--json", "--"], 2, "", "unrecognized arguments: --"),
+    # values that look like negative numbers are values
+    (["crosscheck", "int", "-3"], 2, "", "'-3'"),
+    (["davenport", "Z2xZ2", "--budget", "-1"], 2, "", "got -1"),
+    (["davenport", "Z2xZ2", "--budget=-1"], 2, "", "got -1"),
+    # a missing value after --budget
+    (["davenport", "Z2xZ2", "--budget"], 2, "", "--budget"),
+    (["davenport", "Z2xZ2", "--budget", "--json"], 2, "", "--budget"),
+    (["davenport", "Z2xZ2", "--budget", "-h"], 2, "", "--budget"),
+    # unknown options, and values given to flags
+    (["invariants", "Z/4", "--threads", "2"], 2, "", "--threads 2"),
+    (["davenport", "Z2xZ2", "-x"], 2, "", "-x"),
+    (["davenport", "Z2xZ2", "--jsonx"], 2, "", "--jsonx"),
+    (["davenport", "Z2xZ2", "--json=1"], 2, "", "'1'"),
+    (["--bogus"], 2, "", "command"),
+    # missing or extra positionals
+    ([], 2, "", "command"),
+    (["invariants"], 2, "", "ring_spec"),
+    (["inspect", "Z/12"], 2, "", "what"),
+    (["crosscheck", "int"], 2, "", "values"),
+    (["davenport", "Z2xZ2", "Z3"], 2, "", "Z3"),
+    (["inspect", "Z/12", "units", "extra"], 2, "", "extra"),
+    # fixed choices
+    (["inspect", "Z/12", "all"], 2, "", "'all'"),
+    (["crosscheck", "rational", "3"], 2, "", "'rational'"),
+    (["nonsense"], 2, "", "'nonsense'"),
+    (["inspect", "Z/12", "all", "-h"], 2, "", "'all'"),
+    # -h and --help, on the top level and on each subcommand
+    (["-h"], 0, _HELP[""], None),
+    (["--help"], 0, _HELP[""], None),
+    (["--he", "nonsense"], 0, _HELP[""], None),
+    (["-hx"], 2, "", "'x'"),
+    *[([name, "-h"], 0, _HELP[name], None) for name in _SUBCOMMANDS],
+    (["davenport", "Z2xZ2", "--json", "--help"], 0, _HELP["davenport"], None),
+    (["davenport", "--bogus", "-hh"], 0, _HELP["davenport"], None),
+    (["inspect", "Z/12", "-h", "all"], 0, _HELP["inspect"], None),
+    (["davenport", "Z2xZ2", "--help=1"], 2, "", "'1'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, named", _GRAMMAR,
+                         ids=[" ".join(row[0]) or "(empty)" for row in _GRAMMAR])
+def test_command_line_grammar(capsys, monkeypatch, argv, code, out, named):
+    """Every usage error exits 2, prints nothing on stdout and names the bad
+    token on stderr."""
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    assert run(argv) == code
+    got, err = capsys.readouterr()
+    assert got == out
+    if named is None:
+        assert err == ""
+    else:
+        assert named in err
+
+
+def test_entry_points_list_every_subcommand(capsys):
+    """`python -m ebring.cli --help` and the `ebring` script, `main()` with
+    argv `ebring --help`, exit 0 and list the six subcommands; each
+    subcommand with no arguments exits 2 under its usage line."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'ebring = "ebring.cli:main"' in pyproject.read_text()
+    script = "import sys\nfrom ebring.cli import main\nsys.argv = ['ebring', '--help']\nmain()\n"
+    for cmd in ([sys.executable, "-m", "ebring.cli", "--help"], [sys.executable, "-c", script]):
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=_child_env())
+        assert (proc.returncode, proc.stderr) == (0, ""), cmd
+        listed = [line.split()[0] for line in proc.stdout.splitlines()
+                  if line.startswith("    ") and line[4] != " "]
+        assert listed == _SUBCOMMANDS
+    for name in _SUBCOMMANDS:
+        assert run([name]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: ebring {name} ")
+
+
+# Option order does not change a command: flags shuffled among the positionals,
+# long options cut to unique prefixes and --budget in either form give the
+# canonical line's exit code and stdout; an unknown option or a --budget
+# missing its value makes any line a usage error.
+_LINES = [(["davenport", "Z2xZ2"], ["--json"]), (["inspect", "Z/12", "units"], []),
+          (["crosscheck", "int", "12"], []), (["verify", "Z/6"], []),
+          (["invariants", "Z/2"], ["--exact", "--json"])]
+
+
+@st.composite
+def _shuffled_lines(draw):
+    positionals, flags = draw(st.sampled_from(_LINES))
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True)) if flags else []
+    units = [[flag[:draw(st.integers(3, len(flag)))]] for flag in chosen]
+    budget = draw(st.sampled_from([None, "9", "100000"])) if positionals[0] != "crosscheck" else None
+    if budget is not None:
+        option = "--budget"[:draw(st.integers(3, 8))]
+        units.append(draw(st.sampled_from([[option, budget], [f"{option}={budget}"]])))
+    injected = draw(st.sampled_from([None, "--bogus", "-x", "--threads", "--budget"]))
+    argv = [positionals[0]]
+    rest = [[p] for p in positionals[1:]]
+    for unit in units:
+        rest.insert(draw(st.integers(0, len(rest))), unit)
+    if injected == "--budget":
+        rest.append(["--budget"])
+    elif injected is not None:
+        rest.insert(draw(st.integers(0, len(rest))), [injected])
+    canonical = positionals + [f for f in flags if f in chosen]
+    canonical += ["--budget", budget] if budget is not None else []
+    return argv + [t for unit in rest for t in unit], canonical, injected is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shuffled_lines())
+def test_option_order_does_not_change_a_command(case):
+    argv, canonical, refused = case
+    results = []
+    for line in (argv, canonical):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            os.environ.pop(BUDGET_ENV, None)
+            results.append((run(line), out.getvalue()))
+        assert results[-1][0] in (0, 1, 2, 3), line
+        assert "Traceback" not in err.getvalue(), line
+    if refused:
+        assert results[0] == (2, ""), argv
+    else:
+        assert results[0] == results[1], argv
+
+
+def test_a_request_loads_neither_argparse_nor_gettext():
+    """The command line is read without argparse, so a request in a fresh
+    interpreter imports neither it nor gettext."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import ebring.cli\n"
+        "for argv in (['invariants', 'Z/12', '--json'], ['davenport', 'Z3xZ9']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert ebring.cli.run(argv) == 0, argv\n"
+        "loaded = {'argparse', 'gettext'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def test_budget_exhaustion_reports_nodes_on_stderr(capsys):
     # rank 3 and not a p-group, so no theorem gives D(G) and the sweep runs
     assert run(["davenport", "Z2xZ2xZ6", "--budget", "10", "--json"]) == 3
@@ -215,14 +443,6 @@ def test_budget_exhaustion_reports_nodes_on_stderr(capsys):
     assert out == ""
     assert "best free length proven: " in err
     assert "nodes expanded: 10)" in err
-
-
-def test_parser_is_built_once_per_process(capsys):
-    assert run(["inspect", "Z/12", "units"]) == 0
-    parser = _build_parser()
-    assert run(["inspect", "Z/12", "idempotents"]) == 0
-    assert _build_parser() is parser
-    assert capsys.readouterr().out == "1,5,7,11\n0,1,4,9\n"
 
 
 @pytest.mark.parametrize("budget, search, best", [
@@ -338,7 +558,7 @@ def test_crosscheck_int_takes_exactly_one_modulus(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "crosscheck int needs N" in err
-    assert run(["crosscheck", "int"]) == 2  # argparse: values needs one or more
+    assert run(["crosscheck", "int"]) == 2  # a usage error: values takes one or more
     capsys.readouterr()
 
 
@@ -600,8 +820,9 @@ _ARGV = st.one_of(
 )
 _Z2 = {"n": 2, "add": [0, 1, 1, 0], "mul": [0, 0, 0, 1]}
 _ENTRY = st.one_of(st.integers(-1, 2), st.sampled_from([0.5, True, None, "1", [0], 10 ** 30]))
-_TABLE = st.one_of(
+_TABLE = st.one_of(  # a document, or a file's text as it stands
     st.just(_Z2),
+    st.sampled_from([_DEEP, '{"n": 2, "add": ' + _DEEP + "}"]),
     st.fixed_dictionaries(
         {"n": st.one_of(st.integers(-1, 3), st.sampled_from(["2", 2.5, True, None, float("inf")]))},
         optional={"add": st.one_of(st.lists(_ENTRY, max_size=9), st.sampled_from([5, "0110"])),
@@ -618,14 +839,15 @@ _TABLE = st.one_of(
 @example(["invariants", "table:TABLE"], {**_Z2, "add": [0, 1, 1, None]})
 @example(["invariants", "table:TABLE"], {**_Z2, "add": [0, 1, 1, 10 ** 30]})
 @example(["invariants", "table:TABLE"], {**_Z2, "n": float("inf")})
+@example(["inspect", "table:TABLE", "units"], _DEEP)
 def test_cli_exits_with_a_code_on_any_spec(argv, table):
     """Every command line of the grammar ends in an exit code (0 ok, 1
     failed check, 2 bad input, 3 refused or over budget), not a traceback.
-    The examples raised OverflowError or TypeError before."""
+    The examples raised OverflowError, TypeError or RecursionError before."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ring.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(table, fh)
+            fh.write(table if isinstance(table, str) else json.dumps(table))
         argv = [a.replace("table:TABLE", f"table:{path}") for a in argv]
         with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
