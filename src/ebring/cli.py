@@ -731,7 +731,7 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchRefused as exc:
-        print(f"refused: {exc}; pass --budget to run it", file=sys.stderr)
+        print(f"refused: {exc}", file=sys.stderr)
         return 3
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc} (best free length proven: {exc.best_length}, "

@@ -104,7 +104,7 @@ def construct_extremal(ring: FiniteRing, *, budget: int | None = None) -> Constr
     Per maximal ideal of index k, k-1 ideal elements with exact prefix depths
     are found, lifted to be 1 modulo the other stationary ideal powers, and
     appended to a maximal zero-sum-free sequence of units. The node budget,
-    if any, limits the unit-group Davenport search.
+    if any, limits the unit-group Davenport sweep.
     """
     maxi = maximal_ideals(ring)
     chains = [power_chain(m) for m in maxi]
@@ -152,7 +152,8 @@ def exact_eb(ring: FiniteRing, *, budget: int | None = None) -> int:
     completed sweep rather than any formula. Rings above ``EB_SEARCH_CAP``
     elements need a node budget, which counts the product sets expanded."""
     if ring.order > EB_SEARCH_CAP and budget is None:
-        raise SearchRefused(f"ring order {ring.order} exceeds the exact search cap {EB_SEARCH_CAP}")
+        raise SearchRefused(f"ring order {ring.order} exceeds the exact search cap "
+                            f"{EB_SEARCH_CAP}; pass --budget to run it")
     try:
         return longest_free_length(ring.tables()[1], range(ring.order), idempotents(ring),
                                    budget=budget) + 1

@@ -5,7 +5,8 @@ products of cyclic groups.
 A group is a sorted tuple of element indices with a vectorized operation
 ``vmul`` that broadcasts over index arrays like ``FiniteRing.vmul``. Group
 work runs on arrays: the position table is one ``vmul`` over the element
-array, and invariant factors need only elementwise powers.
+array, read by validation and the Davenport sweep only; invariant factors
+and the basis witness need only elementwise powers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused
 from .ideals import units
 from .rings import (TABLE_CAP, VALIDATION_CAP, FiniteRing, MixedRadix, _prime_power,
                     prime_factors, row_blocks, vpower)
-from .search import longest_free_length, max_free_sequence
+from .search import longest_free_length
 from .sequences import Sequence, product_set
 
 DAVENPORT_CAP = 64
@@ -176,60 +177,74 @@ def is_zero_sum_free(view: AbelianGroupView, seq: Sequence) -> bool:
     return view.one not in product_set(seq)
 
 
-def _least_generator(view: AbelianGroupView) -> int:
-    """Least element of a cyclic group whose power n/p is not the identity
-    for any prime p of the order n."""
+def _basis_witness(view: AbelianGroupView, factors: list[int]) -> tuple[int, ...]:
+    """g_1^(n_1-1)...g_r^(n_r-1) for the invariant factors n_1 >= ... >= n_r,
+    where g_i is the least element of order exactly n_i modulo the span H of
+    g_1, ..., g_(i-1): g_i^(n_i) in H and g_i^(n_i/p) not in H for each
+    prime p of n_i. For a cyclic group, g_1 is its least generator.
+
+    g_i exists: an element of largest order in G/H generates a direct
+    summand, so G/H keeps the factors n_i, ..., n_r. The witness is zero-sum
+    free: take a product of the g_i^(k_i), 0 <= k_i < n_i and not all zero,
+    and the largest i with k_i != 0; it is the identity only if g_i^(k_i)
+    lies in H, against the order of g_i modulo H.
+    """
     els = view.element_array()
-    gen = np.ones(len(els), dtype=bool)
-    for p, _ in prime_factors(view.order):
-        gen &= vpower(view.vmul, els, view.order // p) != view.one
-    return int(els[np.argmax(gen)])
+    span = els == view.one  # H, by position in ``els``
+    terms = []
+    for n in sorted(factors, reverse=True):
+        fits = span[np.searchsorted(els, vpower(view.vmul, els, n))]
+        for p, _ in prime_factors(n):
+            fits &= ~span[np.searchsorted(els, vpower(view.vmul, els, n // p))]
+        if not fits.any():
+            raise InternalConsistencyError(
+                f"no element of {view.label} has order {n} modulo the earlier basis elements")
+        g = int(els[np.argmax(fits)])
+        terms += [g] * (n - 1)
+        coset = els[span]
+        for _ in range(n - 1):
+            coset = view.vmul(coset, g)
+            span[np.searchsorted(els, coset)] = True
+    return tuple(terms)
 
 
 def davenport(view: AbelianGroupView, *, budget: int | None = None) -> DavenportResult:
-    """Smallest length forcing a subsequence with identity product, with the
-    lexicographically least zero-sum-free witness of one term less.
+    """Smallest length forcing a subsequence with identity product, with a
+    zero-sum-free witness of one term less.
 
-    D(G) = D*(G) = 1 + sum(n_i - 1) over the invariant factors n_i is a
-    theorem for cyclic groups, for rank two and for p-groups (Olson 1969;
-    Geroldinger-Halter-Koch, Non-Unique Factorizations, 2006, ch. 5).
-    Cyclic groups up to ``VALIDATION_CAP`` take the closed form: the
-    zero-sum-free sequences of length n - 1 in Z_n are g^(n-1) for the
-    generators g, so the witness is the least generator n - 1 times. Other
-    groups covered by the theorem take its value; the rest take the value
-    from the level sweep over the product sets of non-identity elements.
-    Either way the witness DFS then runs with that value as its ceiling and
-    must reach it, stopping at its least canonical witness. Both searches
-    take groups within ``DAVENPORT_CAP`` unless a node budget is given, and
-    each gets the whole budget in turn. Every witness is checked zero-sum
-    free.
+    D(G) >= D*(G) = 1 + sum(n_i - 1) over the invariant factors n_i, and
+    D(G) = D*(G) is a theorem for cyclic groups, for rank two and for
+    p-groups (Olson 1969; Geroldinger-Halter-Koch, Non-Unique Factorizations,
+    2006, ch. 5). Those groups take D* and run no search; the rest take the
+    value of the level sweep over the product sets of non-identity elements.
+    Either way the witness is the basis witness of length D* - 1 (see
+    ``_basis_witness``), checked zero-sum free. So a sweep value above D*,
+    as for Z2^4 x Z2k with odd k >= 3, is refused: no witness method
+    applies. One below D* is an inconsistency. Groups above
+    ``VALIDATION_CAP``, or above ``DAVENPORT_CAP`` when the sweep runs, are
+    refused unless a node budget is given, which bounds the sweep.
     """
     factors = invariant_factors(view)
     value = 1 + sum(d - 1 for d in factors)
-    if len(factors) <= 1 and view.order <= VALIDATION_CAP:
-        terms = (_least_generator(view),) * (view.order - 1)
-    else:
-        if view.order > DAVENPORT_CAP and budget is None:
-            raise SearchRefused(f"group order {view.order} exceeds the search cap {DAVENPORT_CAP}")
+    swept = len(factors) > 2 and _prime_power(view.order) is None
+    cap = DAVENPORT_CAP if swept else VALIDATION_CAP
+    if view.order > cap and budget is None:
+        raise SearchRefused(f"group order {view.order} exceeds the "
+                            f"{'search' if swept else 'witness'} cap {cap}; pass --budget to run it")
+    if swept:
         e = view.elements.index(view.one)
-        candidates = [i for i in range(view.order) if i != e]
-        source, search = "theorem", "Davenport search"
-        if len(factors) > 2 and _prime_power(view.order) is None:
-            try:
-                value = longest_free_length(view.table(), candidates, {e}, budget=budget) + 1
-            except BudgetExceeded as exc:
-                raise exc.within(f"Davenport sweep of {view.label}") from None
-            source, search = "sweep", "Davenport witness search"
         try:
-            length, wit_pos = max_free_sequence(view.table(), candidates, {e},
-                                                ceiling=value - 1, budget=budget)
+            found = longest_free_length(view.table(), [i for i in range(view.order) if i != e],
+                                        {e}, budget=budget) + 1
         except BudgetExceeded as exc:
-            raise exc.within(f"{search} of {view.label}") from None
-        if length != value - 1:
+            raise exc.within(f"Davenport sweep of {view.label}") from None
+        if found > value:
+            raise SearchRefused(f"the sweep found D = {found} in {view.label}, above "
+                                f"D* = {value}, and no witness method applies")
+        if found < value:
             raise InternalConsistencyError(
-                f"search found D = {length + 1} in {view.label}, against the {source}'s {value}")
-        terms = tuple(view.elements[p] for p in wit_pos)
-    witness = Sequence.make(view, terms)
+                f"the sweep found D = {found} in {view.label}, below D* = {value}")
+    witness = Sequence.make(view, _basis_witness(view, factors))
     if len(witness) != value - 1 or not is_zero_sum_free(view, witness):
         raise InternalConsistencyError(f"Davenport witness of {view.label} is not zero-sum free")
     return DavenportResult(value, witness, view)

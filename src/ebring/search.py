@@ -38,26 +38,19 @@ candidates go in table blocks that fit in ``STEP_TABLE_WORDS`` words, each
 built once per level, and only for the states whose start comes before its
 end. The count of states expanded does not depend on the labelling. The
 pending product sets are held within ``PENDING_CAP`` words, so memory is
-bounded whatever the budget. The sweep gives no witness, and it cannot stop early at
-a known ceiling.
+bounded whatever the budget. The sweep gives no witness.
 
-The witness DFS, ``max_free_sequence``, serves witnesses only. Its caller
-always knows the length, from a closed form, a theorem or the sweep, and
-passes it as the ``ceiling``. Sequences are enumerated as canonical
-multisets: candidate elements in nondecreasing order, so every multiset is
-visited once. The DFS state is the product set of the chosen prefix, held as
-a Python-int bitmask, together with the minimum candidate position still
-allowed; a branch dies as soon as its product set meets the forbidden mask,
-which is exact because product sets only grow. States are memoized with an
-LRU-capped table mapping (mask, position) to the best extension depth proven
-from there. The DFS runs on an explicit stack, so sequence length is not
-bounded by the interpreter's recursion limit.
-
-A state whose prefix plus proven extension reaches the ceiling stops
-expanding. Its memo entry is still exact, since no extension can be longer,
-and the run is a prefix of the uncapped DFS (the ceiling n, as each free term
-grows the product set), so it expands no more nodes and reconstructs the same
-witness.
+The reference DFS, ``max_free_sequence``, has no caller in the package: the
+tests check the sweep's values against it, and the benchmark's tracer names
+it. It gives the length and the lexicographically least witness. Sequences are enumerated as canonical multisets: candidate
+elements in nondecreasing order, so every multiset is visited once. The DFS
+state is the product set of the chosen prefix, held as a Python-int bitmask,
+together with the minimum candidate position still allowed; a branch dies as
+soon as its product set meets the forbidden mask, which is exact because
+product sets only grow. States are memoized in a table mapping (mask,
+position) to the best extension depth proven from there. The DFS runs on an
+explicit stack, so sequence length is not bounded by the interpreter's
+recursion limit.
 
 A DFS node builds its free children eagerly, as (position, S·a) pairs, from
 its parent's free pairs at positions from its own on; a top-level call starts
@@ -77,14 +70,11 @@ those of the from-scratch step.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from .errors import BudgetExceeded, InternalConsistencyError
 
-MEMO_CAP = 1 << 20
-# Most byte-chunk table entries (candidates x chunks x 256) the witness DFS
+# Most byte-chunk table entries (candidates x chunks x 256) the reference DFS
 # holds as Python ints: covers every full search of order up to 128, at a
 # few tens of MiB. Both searches build their tables in numpy a block of
 # candidates at a time within the same cap in uint64 words, 8 MiB, down to
@@ -107,12 +97,11 @@ _SMALL = np.int16
 
 
 class _Engine:
-    def __init__(self, mul_rows, candidates, forbidden, budget, ceiling):
-        self.ceiling = ceiling
+    def __init__(self, mul_rows, candidates, forbidden, budget):
         self.cands = tuple(int(a) for a in candidates)
         self.bits = tuple(1 << a for a in self.cands)
         self.forbidden = sum(1 << e for e in {int(e) for e in forbidden})
-        self.memo: OrderedDict = OrderedDict()
+        self.memo: dict = {}
         self.nodes = 0
         self.best_len = 0
         self.budget = budget
@@ -156,13 +145,11 @@ class _Engine:
     def longest(self, state, start, depth):
         """Most terms extending the state (``state``, ``start``), reached by a
         prefix of length ``depth``, without meeting the forbidden mask. Runs on
-        an explicit stack, with memo lookups, stores and evictions in the order
-        of the plain recursion."""
-        memo, children, ceiling = self.memo, self.children, self.ceiling
-        key = (state, start)
-        got = memo.get(key)
+        an explicit stack, with memo lookups and stores in the order of the
+        plain recursion."""
+        memo, children = self.memo, self.children
+        got = memo.get((state, start))
         if got is not None:
-            memo.move_to_end(key)
             return got
         self._visit()
         stack = []
@@ -170,8 +157,7 @@ class _Engine:
         while True:
             while pos < len(pairs):
                 idx, ns = pairs[pos]
-                key = (ns, idx)
-                got = memo.get(key)
+                got = memo.get((ns, idx))
                 if got is None:
                     if ns == state:  # closed under ·a, so no power of a is forbidden
                         raise ValueError("no free sequence is maximal: the forbidden "
@@ -181,22 +167,16 @@ class _Engine:
                     state, start, depth, pairs, pos, best = (
                         ns, idx, depth + 1, children(ns, state, pairs[pos:]), 0, 0)
                     continue
-                memo.move_to_end(key)
-                if got >= best:
-                    best = got + 1
-                    if depth + best >= ceiling:
-                        break
+                best = max(best, got + 1)
                 pos += 1
             if depth + best > self.best_len:
                 self.best_len = depth + best
             memo[(state, start)] = best
-            if len(memo) > MEMO_CAP:
-                memo.popitem(last=False)
             if not stack:
                 return best
             state, start, depth, pairs, pos, parent_best = stack.pop()
             best = max(parent_best, best + 1)
-            pos = len(pairs) if depth + best >= ceiling else pos + 1
+            pos += 1
 
     def witness(self, total):
         """Lexicographically least canonical sequence achieving the maximum."""
@@ -214,17 +194,15 @@ class _Engine:
         return tuple(seq)
 
 
-def max_free_sequence(mul_rows, candidates, forbidden, *, ceiling: int,
-                      budget: int | None = None):
+def max_free_sequence(mul_rows, candidates, forbidden, *, budget: int | None = None):
     """Length of the longest sequence whose product set avoids ``forbidden``,
     plus the lexicographically least witness of that length.
 
     ``mul_rows`` is an indexable table of rows covering every index reachable
-    by multiplying candidates together. ``ceiling`` must bound the length of
-    every free sequence; at the true length the search stops at its witness.
-    ``budget``, if given, is the most search nodes to expand.
+    by multiplying candidates together. ``budget``, if given, is the most
+    search nodes to expand.
     """
-    eng = _Engine(mul_rows, sorted(candidates), forbidden, budget, ceiling)
+    eng = _Engine(mul_rows, sorted(candidates), forbidden, budget)
     total = eng.longest(0, 0, 0)
     return total, eng.witness(total)
 

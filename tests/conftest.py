@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -42,6 +43,64 @@ def ring_idempotents(ring):
 
 def is_free_sequence(ring, terms):
     return not (subset_products(ring.mul, terms) & ring_idempotents(ring))
+
+
+def multiset_products(mul, one, terms):
+    """Products of every nonempty sub-multiset of ``terms``, built one distinct
+    term at a time with each of its multiplicities: ``one`` stands for the
+    empty product, and ``mul`` multiplies single elements. Fast on the long
+    runs of one term that Davenport witnesses have."""
+    out = set()
+    for a, m in Counter(terms).items():
+        powers = [mul(one, a)]
+        while len(powers) < m:
+            powers.append(mul(powers[-1], a))
+        out |= {mul(p, q) for p in out | {one} for q in powers}
+    return out
+
+
+def _positions(view):
+    """``view``'s position table as lists, and each element's position."""
+    return view.table().tolist(), {x: i for i, x in enumerate(view.elements)}
+
+
+def zero_sum_free(view, terms):
+    """Whether no nonempty subsequence of ``terms`` multiplies to the
+    identity, by ``multiset_products`` on the position table: the reference
+    for ``is_zero_sum_free``, which reads ``product_set``."""
+    rows, pos = _positions(view)
+    return pos[view.one] not in multiset_products(lambda a, b: rows[a][b], pos[view.one],
+                                                  [pos[t] for t in terms])
+
+
+def idempotent_product_free(ring, terms):
+    """Whether no nonempty subsequence of ``terms`` multiplies to an
+    idempotent, by ``multiset_products`` on ``ring.mul``."""
+    return not multiset_products(ring.mul, ring.one, terms) & ring_idempotents(ring)
+
+
+def basis_witness_oracle(view, factors):
+    """The basis witness by its definition, on the position table: for each
+    factor n, largest first, the least element g whose first power in the
+    span H of the earlier picks is g^n, taken n - 1 times, after which H
+    grows by the powers of g. Terms are sorted labels."""
+    rows, pos = _positions(view)
+    span, terms = {pos[view.one]}, []
+    for n in sorted(factors, reverse=True):
+
+        def order_mod_span(x):
+            k, y = 1, x
+            while y not in span:
+                k, y = k + 1, rows[y][x]
+            return k
+
+        g = next(x for x in range(view.order) if order_mod_span(x) == n)
+        terms += [view.elements[g]] * (n - 1)
+        powers = [pos[view.one]]
+        while len(powers) < n:
+            powers.append(rows[powers[-1]][g])
+        span = {rows[h][p] for h in span for p in powers}
+    return tuple(sorted(terms))
 
 
 def naive_eb(ring, limit=10):
@@ -90,12 +149,10 @@ def longest_oracle(mul_rows, candidates, forbidden):
 
 
 def dfs_reference(mul_rows, candidates, forbidden, budget=None):
-    """The witness DFS with the ceiling ``len(mul_rows)``, which bounds every
-    free sequence, as each free term grows the product set: the uncapped
-    search that the sweep and the ceiling runs are checked against. Returns
-    the longest free length, its witness as candidate positions, the nodes
-    expanded, and the engine, for its memo."""
-    eng = search._Engine(mul_rows, sorted(candidates), forbidden, budget, len(mul_rows))
+    """The reference DFS, ``search.max_free_sequence``, that the sweep is
+    checked against. Returns the longest free length, its witness as
+    candidate positions, the nodes expanded, and the engine, for its memo."""
+    eng = search._Engine(mul_rows, sorted(candidates), forbidden, budget)
     length = eng.longest(0, 0, 0)
     nodes = eng.nodes
     return length, eng.witness(length), nodes, eng

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ebring import SpecParseError, build_ring, parse_group_spec, parse_ring_spec, report, serialize_report
+from ebring import (SpecParseError, build_ring, parse_group_spec, parse_ring_spec, report,
+                    serialize_report, synthetic_group)
 from ebring import cli, ideals, search
 from ebring.cli import BUDGET_ENV, RingSpec, run
 
-from conftest import product_reference
+from conftest import idempotent_product_free, product_reference, zero_sum_free
 
 VALID_SPECS = (
     [f"Z/{n}" for n in range(2, 17)]
@@ -277,16 +278,20 @@ _GRAMMAR = [
     (["inspect", "Z/12", "units"], 0, _UNITS, None),
     (["invariants", "--exact", "Z/2"], 0, _Z2_EXACT, None),
     (["--json", "davenport", "Z2xZ2"], 2, "", "--json"),
-    # --budget N and --budget=N, the last one given winning (0 nodes exits 3)
+    # --budget N and --budget=N, the last one given winning (0 nodes exits 3
+    # where a search runs; D(Z2 x Z2) is the theorem's, so none runs there)
     (["davenport", "--budget", "9", "Z2xZ2"], 0, _DAV, None),
     (["davenport", "Z2xZ2", "--budget=9", "--json"], 0, _DAV_JSON, None),
     (["davenport", "Z2xZ2", "--budget", "0", "--budget", "9"], 0, _DAV, None),
-    (["davenport", "Z2xZ2", "--budget=9", "--budget", "0"], 3, "", "Z2 x Z2"),
+    (["davenport", "Z2xZ2", "--budget=9", "--budget", "0"], 0, _DAV, None),
+    (["invariants", "Z/2", "--exact", "--budget", "0", "--budget", "9"], 0, _Z2_EXACT, None),
+    (["invariants", "Z/2", "--exact", "--budget=9", "--budget", "0"], 3, "", "exact sweep of Z/2"),
     (["davenport", "Z2xZ2", "--json", "--json"], 0, _DAV_JSON, None),
     # unique prefixes of long options
     (["davenport", "Z2xZ2", "--js"], 0, _DAV_JSON, None),
     (["davenport", "Z2xZ2", "--j", "--bud", "9"], 0, _DAV_JSON, None),
-    (["davenport", "Z2xZ2", "--bud=0"], 3, "", "Z2 x Z2"),
+    (["davenport", "Z2xZ2", "--bud=0"], 0, _DAV, None),
+    (["invariants", "Z/2", "--ex", "--bud=0"], 3, "", "exact sweep of Z/2"),
     (["invariants", "Z/2", "--ex"], 0, _Z2_EXACT, None),
     (["davenport", "Z2xZ2", "--ex"], 2, "", "--ex"),
     (["davenport", "Z2xZ2", "--=1"], 2, "", "--=1"),
@@ -446,14 +451,18 @@ def test_budget_exhaustion_reports_nodes_on_stderr(capsys):
 
 
 @pytest.mark.parametrize("budget, search, best", [
-    (10, "Davenport search of U(Z/2 x Z/128)", 0),
+    (10, "Davenport sweep of U(Z/84)", 2),
     (40, "exact sweep of Z/2 x Z/128", 2),
 ])
 def test_budget_exhaustion_names_the_search(capsys, monkeypatch, budget, search, best):
-    """Each search gets the whole budget in turn: D(U(R)) of C2 x C32 takes
-    34 nodes, so 10 run out there and 40 in the exact sweep."""
+    """Each search gets the whole budget in turn. U(Z/84) = Z2 x Z2 x Z6 lies
+    outside the theorems, so 10 nodes run out in its Davenport sweep, before
+    the exact sweep; U(Z/2 x Z/128) = Z2 x Z32 takes the theorem with no
+    search, so 40 run out in the exact sweep. The ring is the one the
+    search names."""
+    ring = search.partition(" of ")[2].removeprefix("U(").removesuffix(")")
     monkeypatch.delenv("EBRING_BUDGET", raising=False)
-    assert run(["invariants", "Z/2 x Z/128", "--exact", "--budget", str(budget)]) == 3
+    assert run(["invariants", ring, "--exact", "--budget", str(budget)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"budget exceeded: {search}: node budget exhausted "
@@ -461,15 +470,17 @@ def test_budget_exhaustion_names_the_search(capsys, monkeypatch, budget, search,
 
 
 @pytest.mark.parametrize("argv, search", [
-    (["invariants", "Z/12", "--exact"], "Davenport search of U(Z/12)"),
+    (["invariants", "Z/12", "--exact"], "exact sweep of Z/12"),
+    (["invariants", "Z/84", "--exact"], "Davenport sweep of U(Z/84)"),
     (["davenport", "Z2xZ2xZ6"], "Davenport sweep of Z2 x Z2 x Z6"),
     (["invariants", "Z/25", "--exact"], "exact sweep of Z/25"),
-], ids=["invariants-Z12", "davenport-Z2xZ2xZ6", "invariants-Z25"])
+], ids=["invariants-Z12", "invariants-Z84", "davenport-Z2xZ2xZ6", "invariants-Z25"])
 def test_zero_budget_expands_no_node(capsys, monkeypatch, argv, search):
     """``--budget 0`` is a budget of zero nodes, not the absence of one. The
-    first search each run reaches stops before its first node: U(Z/25) is
-    cyclic, so Z/25 takes D(U(R)) from the closed form and stops in the
-    exact sweep."""
+    first search each run reaches stops before its first node: U(Z/12) =
+    Z2 x Z2 and the cyclic U(Z/25) take D(U(R)) from the theorem with no
+    search, so they stop in the exact sweep; U(Z/84) = Z2 x Z2 x Z6 stops in
+    its Davenport sweep."""
     monkeypatch.delenv("EBRING_BUDGET", raising=False)
     assert run(argv + ["--budget", "0"]) == 3
     out, err = capsys.readouterr()
@@ -481,16 +492,20 @@ def test_zero_budget_expands_no_node(capsys, monkeypatch, argv, search):
 @pytest.mark.parametrize("argv, code, err", [
     (["invariants", "Z/25", "--exact"], 3,
      "refused: ring order 25 exceeds the exact search cap 24; pass --budget to run it\n"),
-    (["davenport", "Z2xZ34"], 3,
-     "refused: group order 68 exceeds the search cap 64; pass --budget to run it\n"),
+    (["davenport", "Z2xZ2xZ2xZ2xZ6"], 3,
+     "refused: group order 96 exceeds the search cap 64; pass --budget to run it\n"),
+    (["davenport", "Z1030"], 3,
+     "refused: group order 1030 exceeds the witness cap 512; pass --budget to run it\n"),
     (["invariants", "GF(1024)"], 2, "error: field order 1024 exceeds the cap 512\n"),
     (["crosscheck", "poly", "2", "x^13+x+1"], 2, "error: quotient order exceeds the cap\n"),
     (["crosscheck", "poly", "2", "x^12+x^3+1"], 0, ""),
-], ids=["exact-eb", "davenport", "field", "crosscheck-8192", "crosscheck-4096"])
+], ids=["exact-eb", "davenport", "davenport-theorem", "field", "crosscheck-8192",
+        "crosscheck-4096"])
 def test_size_caps_refuse_above_and_run_at_the_cap(capsys, monkeypatch, argv, code, err):
-    """Without a budget, the exact sweep takes rings of at most 24 elements
-    and the Davenport search groups of at most 64; fields go up to 512
-    elements and crosscheck quotients up to 4096."""
+    """Without a budget, the exact sweep takes rings of at most 24 elements,
+    the Davenport sweep groups of at most 64 and the basis witness groups of
+    at most 512; fields go up to 512 elements and crosscheck quotients up to
+    4096."""
     monkeypatch.delenv("EBRING_BUDGET", raising=False)
     assert run(argv) == code
     out, got = capsys.readouterr()
@@ -782,6 +797,38 @@ def test_cyclic_unit_groups_above_the_search_cap(spec, moduli, capsys, monkeypat
     for a in terms:
         products |= {a} | {tuple(x * y % m for x, y, m in zip(s, a, moduli)) for s in products}
     assert one not in products
+
+
+@pytest.mark.parametrize("spec", ["GF(9) x GF(9)", "GF(5)[x]/(x^3)", "GF(2)[x]/(x^8)"])
+def test_unit_groups_the_theorems_cover_need_no_budget(spec, capsys, monkeypatch):
+    """U(R) is Z8 x Z8, Z5 x Z20 and Z2 x Z2 x Z4 x Z8 (order 128): D(U(R))
+    is D* by the theorems, and its basis witness takes no search, so no
+    budget is needed. The reported sequence has length lower bound - 1 and
+    is idempotent-product free by the oracle."""
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    assert run(["invariants", spec, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["davenport"] == 1 + sum(n - 1 for n in doc["unit_group"])
+    ring = build_ring(spec)
+    index = {ring.name(i): i for i in range(ring.order)}
+    terms = [index[name] for name in doc["witness_T"]]
+    assert len(terms) == doc["lower_bound"] - 1
+    assert idempotent_product_free(ring, terms)
+
+
+def test_theorem_groups_above_the_search_cap_need_no_budget(capsys, monkeypatch):
+    """Z2 x Z34 has rank two and order 68, and ``verify`` on GF(9) x GF(9),
+    of 81 elements, stops at the exact search cap once D(U(R)) is known."""
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    assert run(["davenport", "Z2xZ34", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    group = synthetic_group([2, 34])
+    index = {group.name(i): i for i in group.elements}
+    assert doc["davenport"] == 35 == len(doc["witness"]) + 1
+    assert zero_sum_free(group, [index[name] for name in doc["witness"]])
+    assert run(["verify", "GF(9) x GF(9)"]) == 3
+    assert capsys.readouterr() == (
+        "", "refused: ring order 81 exceeds the exact search cap 24; pass --budget to run it\n")
 
 
 # CLI fuzzing over a small grammar of ring and group specs, malformed ones

@@ -1,18 +1,20 @@
 import math
 import random
-from collections import OrderedDict
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from ebring import (AbelianGroupView, BudgetExceeded, InternalConsistencyError, SearchRefused,
-                    davenport, groups, invariant_factors, is_zero_sum_free, make_gf,
-                    make_poly_quotient, make_zmod, search, synthetic_group, unit_group_view)
+                    davenport, groups, invariant_factors, is_zero_sum_free, make_gf, make_zmod,
+                    synthetic_group, unit_group_view)
+from ebring.cli import run
+from ebring.rings import MixedRadix
 from ebring.sequences import Sequence, product_set
 
-from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, davenport_input, dfs_reference,
-                      family_ring, naive_davenport, relabel, subset_products)
+from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, basis_witness_oracle,
+                      davenport_input, dfs_reference, family_ring, naive_davenport, relabel,
+                      subset_products, zero_sum_free)
 
 
 def _order(g, a):
@@ -180,26 +182,32 @@ def test_unit_group_and_synthetic_twin_agree():
 
 
 def test_cap_exceeded_without_budget():
-    g = synthetic_group([5, 5, 5])  # order 125 > 64
-    with pytest.raises(BudgetExceeded):
+    g = synthetic_group([2, 2, 2, 2, 6])  # order 96 > 64, outside the theorems
+    with pytest.raises(SearchRefused, match="group order 96 exceeds the search cap 64"):
         davenport(g)
 
 
 def test_exhausted_node_budget_reports_partial_bound():
-    g = synthetic_group([3, 3])
+    g = synthetic_group([2, 2, 6])  # outside the theorems, so the sweep runs
     with pytest.raises(BudgetExceeded) as err:
         davenport(g, budget=3)
-    assert 0 <= err.value.best_length <= 4
+    assert 0 <= err.value.best_length <= 7
     assert err.value.exact is False
 
 
 def test_budget_overrides_the_cap(monkeypatch):
-    g = synthetic_group([3, 3])
+    """A budget lets the sweep run above the cap, and bounds it. Z2 x Z2 x Z6
+    under a cap of 5 finishes; Z2^4 x Z6 runs out of its 2000 nodes."""
+    g = synthetic_group([2, 2, 2, 2, 6])
+    with pytest.raises(BudgetExceeded, match="^Davenport sweep of Z2 x Z2 x Z2 x Z2 x Z6: ") as err:
+        davenport(g, budget=2000)
+    assert not isinstance(err.value, SearchRefused)
+    assert err.value.nodes == 2000
+    g = synthetic_group([2, 2, 6])
     monkeypatch.setattr(groups, "DAVENPORT_CAP", 5)
     with pytest.raises(SearchRefused, match="exceeds the search cap 5"):
         davenport(g)
-    result = davenport(g, budget=1_000_000)
-    assert result.value == 5
+    assert davenport(g, budget=1_000_000).value == 8
 
 
 def test_search_matches_brute_force_oracle():
@@ -209,32 +217,6 @@ def test_search_matches_brute_force_oracle():
         assert result.value == naive_davenport(g)
         assert len(result.witness) == result.value - 1
         assert g.one not in subset_products(g.mul, result.witness.terms)
-
-
-def test_witness_search_is_unchanged_by_memo_eviction(monkeypatch):
-    """Past ``MEMO_CAP`` entries the witness DFS evicts its least recently
-    used memo entry; a state evicted and met again is searched again, so
-    every value and witness equals the one found with the full memo. Caps
-    1 and 4 evict on every group here; 16 evicts on none."""
-    views = [synthetic_group(spec) for spec in ([2, 2, 6], [3, 9], [2, 2, 2, 2])]
-    views += [unit_group_view(make_zmod(80)),
-              unit_group_view(make_poly_quotient(make_gf(2), (0,) * 6 + (1,)))]
-    want = [davenport(view) for view in views]
-    evicted = []
-
-    class CountingMemo(OrderedDict):
-        def popitem(self, last=True):
-            evicted.append(cap)
-            return super().popitem(last)
-
-    monkeypatch.setattr(search, "OrderedDict", CountingMemo)
-    for cap in (1, 4, 16):
-        monkeypatch.setattr(search, "MEMO_CAP", cap)
-        for view, full in zip(views, want):
-            got = davenport(view)
-            assert (got.value, got.witness.terms) == (full.value, full.witness.terms), \
-                (cap, view.label)
-    assert evicted.count(1) > evicted.count(4) > 0
 
 
 def test_zero_sum_free_predicate():
@@ -253,11 +235,14 @@ def _reference(view):
 
 
 def _assert_theorem_matches_search(view):
-    """Same value and witness as the reference DFS, within its node count,
-    the value coming from the theorem or, outside it, from the sweep."""
-    value, witness, nodes = _reference(view)
+    """The reference DFS's value, within its node count, the value coming
+    from the theorem or, outside it, from the sweep; and the basis witness,
+    zero-sum free by the oracle."""
+    value, _, nodes = _reference(view)
     result = davenport(view, budget=nodes)
-    assert (result.value, result.witness.terms) == (value, witness), view.label
+    assert result.value == value, view.label
+    assert result.witness.terms == basis_witness_oracle(view, invariant_factors(view)), view.label
+    assert zero_sum_free(view, result.witness.terms), view.label
 
 
 @pytest.mark.parametrize("spec", SMALL_GROUPS, ids=lambda s: "x".join(map(str, s)))
@@ -279,42 +264,98 @@ def test_theorem_matches_search_under_relabelling(seed):
         _assert_theorem_matches_search(unit_group_view(ring))
 
 
-def test_group_outside_the_theorems_takes_the_sweep_value_and_the_ceiling_witness(monkeypatch):
+def test_group_outside_the_theorems_takes_the_sweep_value_and_the_ceiling_witness():
     """Z2 x Z2 x Z6 has rank 3 and is not a p-group. The sweep expands 5027
-    product sets for its value, and the DFS cut at that value 8 nodes for
-    its witness, against the reference's 8718. Each search gets the whole
-    budget in turn, and one node short, the one that ran out is named."""
+    product sets for its value, against the reference DFS's 8718, and the
+    witness is the basis witness, which runs no search. One node short, the
+    sweep is named."""
     g = synthetic_group([2, 2, 6])
-    value, witness, nodes = _reference(g)
+    value, _, nodes = _reference(g)
     assert (value, nodes) == (8, 8718)
     result = davenport(g, budget=5027)
-    assert (result.value, result.witness.terms) == (value, witness)
+    assert result.value == value
+    assert result.witness.terms == basis_witness_oracle(g, [2, 2, 6])
     with pytest.raises(BudgetExceeded, match="^Davenport sweep of Z2 x Z2 x Z6: ") as err:
         davenport(g, budget=5026)
     assert err.value.nodes == 5026
-    sweep = groups.longest_free_length
-    monkeypatch.setattr(groups, "longest_free_length", lambda *args, budget: sweep(*args))
-    assert davenport(g, budget=8).witness.terms == witness
-    with pytest.raises(BudgetExceeded, match="^Davenport witness search of Z2 x Z2 x Z6: ") as err:
-        davenport(g, budget=7)
-    assert err.value.nodes == 7
 
 
 def test_theorem_path_checks_its_witness(monkeypatch):
-    # a wrong generator makes the closed form's witness reach the identity
-    monkeypatch.setattr(groups, "_least_generator", lambda view: 2)
+    # a witness that fails the check is reported, not returned
+    monkeypatch.setattr(groups, "is_zero_sum_free", lambda view, seq: False)
     with pytest.raises(InternalConsistencyError, match="not zero-sum free"):
         davenport(synthetic_group([6]))
     monkeypatch.undo()
-    # a ceiling above the true maximum is reported, not returned
-    monkeypatch.setattr(groups, "invariant_factors", lambda view: [2, 4])
-    with pytest.raises(InternalConsistencyError, match="against the theorem"):
-        davenport(synthetic_group([2, 2, 2]))
-    monkeypatch.undo()
-    # and so is a sweep value above it
+    # a sweep value above D* has no witness method, so it is refused
     monkeypatch.setattr(groups, "longest_free_length", lambda *args, budget: 8)
-    with pytest.raises(InternalConsistencyError, match="found D = 8 .* against the sweep's 9"):
+    with pytest.raises(SearchRefused, match="found D = 9 in Z2 x Z2 x Z6, above D\\* = 8, "
+                                            "and no witness method applies"):
         davenport(synthetic_group([2, 2, 6]))
+    # and one below D* is an inconsistency
+    monkeypatch.setattr(groups, "longest_free_length", lambda *args, budget: 6)
+    with pytest.raises(InternalConsistencyError, match="found D = 7 in Z2 x Z2 x Z6, below D\\* = 8"):
+        davenport(synthetic_group([2, 2, 6]))
+
+
+def test_wrong_invariant_factors_find_no_basis(monkeypatch):
+    """Z2^3 has no element of order 4, so the type [2, 4] gives no basis: an
+    inconsistency, not an IndexError."""
+    monkeypatch.setattr(groups, "invariant_factors", lambda view: [2, 4])
+    with pytest.raises(InternalConsistencyError, match="no element of Z2 x Z2 x Z2 has order 4"):
+        davenport(synthetic_group([2, 2, 2]))
+
+
+def _factor_types(limit):
+    """Every invariant-factor type n_1 | n_2 | ... of order at most ``limit``."""
+    out, todo = [], [([n], n) for n in range(2, limit + 1)]
+    while todo:
+        spec, order = todo.pop()
+        out.append(spec)
+        todo += [(spec + [n], order * n) for n in range(spec[-1], limit // order + 1, spec[-1])]
+    return out
+
+
+def test_basis_witness_census():
+    """The basis witness has length D* - 1, is zero-sum free and follows its
+    definition, by the oracles, on every type of order at most 128 and on
+    the unit groups of the relabelled rings, outside the theorems too."""
+    types = _factor_types(128)
+    assert len(types) == 246  # the abelian groups of orders 2 to 128, up to isomorphism
+    views = [synthetic_group(spec) for spec in types]
+    for seed in range(20):
+        ring = family_ring(RELABELLED[seed % len(RELABELLED)])
+        views.append(unit_group_view(relabel(ring, random.Random(seed).sample(range(ring.order),
+                                                                              ring.order))))
+    for view in views:
+        factors = invariant_factors(view)
+        terms = tuple(sorted(groups._basis_witness(view, factors)))
+        assert len(terms) == sum(n - 1 for n in factors), view.label
+        assert zero_sum_free(view, terms), view.label
+        assert terms == basis_witness_oracle(view, factors), view.label
+
+
+# Digits in Z2^4 x Z6 of a zero-sum-free sequence of length D* = 10, so D > D*
+# there, as for every Z2^4 x Z2k with odd k >= 3 (Gao and Geroldinger, Expo.
+# Math. 24, 2006)
+_LONG_FREE = ([(0, 0, 0, 1, 1), (0, 0, 0, 1, 4)] + [(0, 1, 0, 1, 5)] * 3
+              + [(0, 1, 1, 0, 1), (0, 1, 1, 0, 4), (1, 1, 0, 0, 1), (1, 1, 0, 0, 4),
+                 (1, 1, 1, 0, 5)])
+
+
+def test_davenport_above_the_basis_bound_is_never_reported(capsys, monkeypatch):
+    """D(Z2^4 x Z6) > D* = 10: this free sequence has 10 terms. No basis gives
+    such a witness, so neither the group nor the ring Z/8 x Z/3 x Z/3 x Z/7,
+    whose unit group it is, is reported with D = 10."""
+    g = synthetic_group([2, 2, 2, 2, 6])
+    codec = MixedRadix([2, 2, 2, 2, 6])
+    terms = [int(codec.encode(d)) for d in _LONG_FREE]
+    assert len(terms) == 10 == 1 + sum(n - 1 for n in invariant_factors(g))
+    assert zero_sum_free(g, terms)
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    for argv in (["davenport", "Z2xZ2xZ2xZ2xZ6"], ["invariants", "Z/8 x Z/3 x Z/3 x Z/7"]):
+        assert run(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("refused: "), argv
 
 
 def test_cyclic_closed_form_above_the_search_cap():
@@ -325,5 +366,6 @@ def test_cyclic_closed_form_above_the_search_cap():
         result = davenport(view)
         assert result.value == view.order
         assert result.witness.terms == (gen,) * (view.order - 1)
+    assert davenport(synthetic_group([2] * 7)).value == 8  # a 2-group, no search
     with pytest.raises(SearchRefused):
-        davenport(synthetic_group([2] * 7))  # order 128, not cyclic
+        davenport(synthetic_group([2, 2, 2, 2, 6]))  # order 96, outside the theorems

@@ -18,14 +18,13 @@ from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, davenport_input, d
 def test_sequence_longer_than_the_recursion_limit():
     n = 1201
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    assert max_free_sequence(rows, [1], {0}, ceiling=n) == (n - 1, (1,) * (n - 1))
-    assert max_free_sequence(rows, [1], {0}, ceiling=n - 1) == (n - 1, (1,) * (n - 1))
+    assert max_free_sequence(rows, [1], {0}) == (n - 1, (1,) * (n - 1))
 
 
 def test_unreachable_forbidden_set_is_refused():
     rows = [[(i + j) % 3 for j in range(3)] for i in range(3)]
     with pytest.raises(ValueError, match="no free sequence is maximal"):
-        max_free_sequence(rows, [1], set(), ceiling=3)
+        max_free_sequence(rows, [1], set())
     with pytest.raises(ValueError, match="no free sequence is maximal"):
         search.longest_free_length(rows, [1], set())
 
@@ -52,8 +51,7 @@ def test_popcounts_match_int_bit_count(words):
     assert search._popcounts(rows.astype(search._WORD)).tolist() == expected
 
 
-# each search returns its witness terms; davenport on a group of rank two
-# cuts the same search at the theorem's ceiling D* - 1
+# each search returns its witness terms
 @pytest.mark.parametrize("search_fn, nodes, witness", [
     (lambda b: dfs_exact_search(family_ring("Z/16"), budget=b)[1].terms, 677, (2, 2, 2, 3, 3, 3, 5)),
     (lambda b: dfs_exact_search(family_ring("Z/12"), budget=b)[1].terms, 36, None),
@@ -61,29 +59,13 @@ def test_popcounts_match_int_bit_count(words):
      1375, (1, 1, 1, 4, 4, 4)),
     (lambda b: dfs_reference(*davenport_input(synthetic_group([3, 3])), budget=b)[1],
      98, (1, 1, 3, 3)),
-    (lambda b: davenport(synthetic_group([4, 4]), budget=b).witness.terms, 7, (1, 1, 1, 4, 4, 4)),
-    (lambda b: davenport(synthetic_group([3, 3]), budget=b).witness.terms, 5, (1, 1, 3, 3)),
-], ids=["exact-Z16", "exact-Z12", "davenport-Z4xZ4", "davenport-Z3xZ3",
-        "ceiling-Z4xZ4", "ceiling-Z3xZ3"])
+], ids=["exact-Z16", "exact-Z12", "davenport-Z4xZ4", "davenport-Z3xZ3"])
 def test_node_count_is_pinned_by_the_budget(search_fn, nodes, witness):
     terms = search_fn(nodes)
     assert witness is None or terms == witness
     with pytest.raises(BudgetExceeded) as err:
         search_fn(nodes - 1)
     assert err.value.nodes == nodes - 1
-
-
-def test_ceiling_keeps_length_witness_and_memo_exact():
-    """A ceiling at the true maximum returns what the uncapped search does,
-    and every memo entry it leaves is the uncapped search's value."""
-    for args in ([davenport_input(synthetic_group(spec)) for spec in ([4, 4], [2, 8], [3, 6])]
-                 + [_exact_input(family_ring(spec)) for spec in ("Z/12", "Z/16", "GF(2)[x]/(x^3)")]):
-        total, witness, nodes, full = dfs_reference(*args)
-        eng = search._Engine(args[0], sorted(args[1]), args[2], None, ceiling=total)
-        assert eng.longest(0, 0, 0) == total
-        assert eng.nodes <= nodes
-        assert eng.witness(total) == witness
-        assert all(full.memo[key] == got for key, got in eng.memo.items())
 
 
 def _kernel_inputs():
