@@ -86,7 +86,9 @@ def validate_group(view: AbelianGroupView) -> None:
     bad = np.flatnonzero(prod[e] != els)
     if bad.size:
         raise ValueError(f"identity fails at element {els[bad[0]]}")
-    t = np.minimum(view.table(), n - 1)
+    if view._table is None:  # the position table, from the products just taken
+        view._table = np.searchsorted(els, prod)
+    t = np.minimum(view._table, n - 1)
     escapes = els[t] != prod
     bad = np.argwhere(escapes | (prod != prod.T))
     if bad.size:

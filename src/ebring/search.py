@@ -42,15 +42,16 @@ bounded whatever the budget. The sweep gives no witness.
 
 The reference DFS, ``max_free_sequence``, has no caller in the package: the
 tests check the sweep's values against it, and the benchmark's tracer names
-it. It gives the length and the lexicographically least witness. Sequences are enumerated as canonical multisets: candidate
-elements in nondecreasing order, so every multiset is visited once. The DFS
-state is the product set of the chosen prefix, held as a Python-int bitmask,
-together with the minimum candidate position still allowed; a branch dies as
-soon as its product set meets the forbidden mask, which is exact because
-product sets only grow. States are memoized in a table mapping (mask,
-position) to the best extension depth proven from there. The DFS runs on an
-explicit stack, so sequence length is not bounded by the interpreter's
-recursion limit.
+it. It shares no table with the sweep. It gives the length and the
+lexicographically least witness. Sequences are enumerated as canonical
+multisets: candidate elements in nondecreasing order, so every multiset is
+visited once. The DFS state is the product set of the chosen prefix, held as
+a Python-int bitmask, together with the minimum candidate position still
+allowed; a branch dies as soon as its product set meets the forbidden mask,
+which is exact because product sets only grow. States are memoized in a
+table mapping (mask, position) to the best extension depth proven from
+there. The DFS runs on an explicit stack, so sequence length is not bounded
+by the interpreter's recursion limit.
 
 A DFS node builds its free children eagerly, as (position, S·a) pairs, from
 its parent's free pairs at positions from its own on; a top-level call starts
@@ -59,13 +60,10 @@ Dropping the parent's forbidden pairs is exact: S ⊆ S' implies S·a ⊆ S'·a,
 a step that meets the forbidden mask at S meets it at S' too, and the plain
 DFS would have skipped it with no memo lookup. The step is incremental: with
 Δ = S' & ~S, S'·a = S' | S·a | Δ·a, since s·a for s in S is already in S·a,
-so it reads the tables at Δ only. Δ·a ORs one table entry per nonzero byte of Δ,
-from the sweep's tables as Python ints: entry ``256*j + b`` of a's table is
-the mask of s and s·a over s = 8j + k for the set bits k of b, and s itself
-adds nothing, as Δ ⊆ S'. Above ``STEP_TABLE_WORDS`` entries the tables go by
-element instead, and the step walks the set bits of Δ. Neither shortcut
-changes a product set, so nodes, memo traffic, counters and witnesses are
-those of the from-scratch step.
+so it walks the set bits s of Δ only, lowest first, ORing the bit of s·a
+from a's row of the multiplication table; s itself adds nothing, as Δ ⊆ S'.
+This changes no product set, so nodes, memo traffic, counters and witnesses
+are those of the from-scratch step.
 """
 
 from __future__ import annotations
@@ -74,11 +72,9 @@ import numpy as np
 
 from .errors import BudgetExceeded, InternalConsistencyError
 
-# Most byte-chunk table entries (candidates x chunks x 256) the reference DFS
-# holds as Python ints: covers every full search of order up to 128, at a
-# few tens of MiB. Both searches build their tables in numpy a block of
-# candidates at a time within the same cap in uint64 words, 8 MiB, down to
-# one candidate; one candidate's table passes the cap above 2048 elements.
+# Most uint64 words of byte-chunk step tables the sweep holds at once, 8 MiB:
+# it builds them a block of candidates at a time within this cap, down to one
+# candidate, whose table passes the cap above 2048 elements.
 STEP_TABLE_WORDS = 1 << 20
 # Most products of one sweep block, in words (128 KiB). On the benchmark's
 # exact-eb rings this quarter of rings.BLOCK ran as fast as rings.BLOCK and
@@ -106,23 +102,18 @@ class _Engine:
         self.best_len = 0
         self.budget = budget
         mul = np.asarray(mul_rows, dtype=np.int64)
-        n = len(mul)
-        self.nbytes = -(-n // 8)
-        self.chunked = len(self.cands) * self.nbytes * 256 <= STEP_TABLE_WORDS
-        if self.chunked:
-            self.tables = _int_tables(mul, np.asarray(self.cands, dtype=np.int64))
-        else:
-            bit_of = [1 << e for e in range(n)]
-            self.tables = [[bit_of[x] for x in col] for col in mul[:, list(self.cands)].T.tolist()]
+        bit_of = [1 << s for s in range(len(mul))]
+        # tables[i][s]: the bit of s·a_i, a reference into the shared bit_of
+        self.tables = [[bit_of[x] for x in col] for col in mul[:, list(self.cands)].T.tolist()]
 
     def children(self, state, parent, pairs):
         """Free (position, S'·a) pairs of S' = ``state``, from ``pairs`` of
         (position, S·a) for S = ``parent`` ⊆ S' (see the module docstring)."""
-        delta = state & ~parent
-        if self.chunked:
-            keys = [256 * j + b for j, b in enumerate(delta.to_bytes(self.nbytes, "little")) if b]
-        else:
-            keys = [s for s in range(delta.bit_length()) if delta >> s & 1]
+        delta, keys = state & ~parent, []
+        while delta:  # the set bits of Δ, lowest first
+            low = delta & -delta
+            keys.append(low.bit_length() - 1)
+            delta ^= low
         tables, forbidden, out = self.tables, self.forbidden, []
         for idx, prod in pairs:
             tab = tables[idx]
@@ -234,26 +225,6 @@ def _step_tables(mul, cands, words: int):
     return tab
 
 
-def _int_tables(mul, cands) -> list[list[int]]:
-    """The step tables of ``_step_tables`` as Python-int masks, one flat list
-    per candidate with entry ``256*c + b`` for byte value b of byte c, built a
-    block of candidates at a time within ``STEP_TABLE_WORDS`` words."""
-    n = len(mul)
-    words, chunks = -(-n // 64), -(-n // 8)
-    width = max(1, STEP_TABLE_WORDS // (chunks * 256 * words))
-    out = []
-    for lo in range(0, len(cands), width):
-        tab = _step_tables(mul, cands[lo:lo + width], words)
-        for i in range(tab.shape[2]):
-            entries = tab[:, :, i].reshape(-1, words)
-            if words == 1:
-                out.append(entries.ravel().tolist())
-            else:  # a row's little-endian words are the mask's bytes
-                out.append([int.from_bytes(row, "little")
-                            for row in entries.view(f"V{8 * words}").ravel().tolist()])
-    return out
-
-
 def _semigroup_sizes(mul, cands):
     """|<a>| = |{a, a^2, a^3, ...}| for each candidate a; the powers a .. a^n
     cover it, as it holds at most n elements."""
@@ -338,10 +309,10 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
         candidates at positions ``first`` on, each at a position no less than
         its parent's start."""
         nonlocal best, held
-        nbytes = states.view(np.uint8)[:, :chunks]
+        row_bytes = states.view(np.uint8)[:, :chunks]
         prods = np.repeat(abits[None], len(states), axis=0)
-        for c in np.flatnonzero(nbytes.any(axis=0)):
-            prods |= tab[c, nbytes[:, c]]
+        for c in np.flatnonzero(row_bytes.any(axis=0)):
+            prods |= tab[c, row_bytes[:, c]]
         hit = np.zeros(prods.shape[:2], dtype=_WORD)
         for j in np.flatnonzero(forbidden_row):
             hit |= prods[:, :, j] & forbidden_row[j]

@@ -12,7 +12,8 @@ from ebring import (ALL_INDICES_ONE, BOTH, BudgetExceeded, LOCAL, SearchRefused,
                     make_poly_quotient, make_zmod, report,
                     squarefree_case_certificate, units)
 
-from conftest import dfs_exact_search, family_ring, is_free_sequence, naive_eb, relabel
+from conftest import (FAMILY_SPECS, dfs_exact_search, family_ring, idempotent_product_free,
+                      is_free_sequence, naive_eb, relabel)
 
 # frozen from the naive subset-product oracle (see conftest.naive_eb)
 ORACLE_VALUES = {
@@ -182,6 +183,25 @@ def test_exact_search_is_invariant_under_relabelling(spec_and_perm):
     assert value == exact_eb(family_ring(spec))
     assert len(witness.terms) == value - 1
     assert is_free_sequence(ring, witness.terms)
+
+
+def _label_free_fields(rep):
+    return (rep.ring_order, rep.units_order, rep.unit_group_factors, rep.davenport_of_units,
+            sorted((m.size, m.index) for m in rep.maximal_ideal_summaries),
+            rep.lower_bound, rep.exact_value, rep.ghw_upper, rep.equality_case)
+
+
+@given(st.sampled_from(FAMILY_SPECS).flatmap(
+    lambda spec: st.tuples(st.just(spec), st.permutations(range(family_ring(spec).order)))))
+def test_report_is_invariant_under_relabelling(spec_and_perm):
+    """Every report field that does not name elements is the same for a
+    renamed ring, and the renamed ring's witness is free with lower - 1 terms."""
+    spec, perm = spec_and_perm
+    ring = relabel(family_ring(spec), perm)
+    rep = report(ring, exact=True)
+    assert _label_free_fields(rep) == _label_free_fields(report(family_ring(spec), exact=True))
+    assert len(rep.witness) == rep.lower_bound - 1
+    assert idempotent_product_free(ring, rep.witness.terms)
 
 
 def test_local_certificate_unit_branch():

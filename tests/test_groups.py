@@ -9,7 +9,7 @@ from ebring import (AbelianGroupView, BudgetExceeded, InternalConsistencyError, 
                     davenport, groups, invariant_factors, is_zero_sum_free, make_gf, make_zmod,
                     synthetic_group, unit_group_view)
 from ebring.cli import run
-from ebring.rings import MixedRadix
+from ebring.rings import MixedRadix, row_blocks
 from ebring.sequences import Sequence, product_set
 
 from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, basis_witness_oracle,
@@ -126,6 +126,27 @@ def test_group_validation_rejects_broken_ops():
             (6, lambda a, b: _LOOP[a, b], "associativity fails at")):
         with pytest.raises(ValueError, match=message):
             AbelianGroupView(range(order), vmul, 0, "broken")
+
+
+@pytest.mark.parametrize("sizes", [[512], [2, 256], [8, 8, 8]])
+def test_validation_takes_each_pair_product_once(sizes):
+    """A view of 512 elements is validated as it is built, on every pair
+    product, and keeps their positions as its table: building it and reading
+    the table take the n² products once, and the table equals one built a
+    block of rows at a time."""
+    codec = MixedRadix(sizes)
+    products = []
+
+    def vmul(a, b):
+        products.append(np.broadcast(a, b).size)
+        return codec.encode((codec.digits(a) + codec.digits(b)) % codec.sizes)
+
+    view = AbelianGroupView(range(codec.order), vmul, 0, "counted")
+    table = view.table()
+    assert sum(products) == 512 ** 2
+    e = view.element_array()
+    blocks = [np.searchsorted(e, vmul(e[rows, None], e[None, :])) for rows in row_blocks(512, 512)]
+    assert np.array_equal(table, np.concatenate(blocks))
 
 
 def test_davenport_trivial_group():

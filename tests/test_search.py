@@ -68,35 +68,20 @@ def test_node_count_is_pinned_by_the_budget(search_fn, nodes, witness):
     assert err.value.nodes == nodes - 1
 
 
-def _kernel_inputs():
-    """Every family ring in exact mode and three small groups in group mode."""
-    return ([_exact_input(family_ring(spec)) for spec in FAMILY_SPECS]
-            + [davenport_input(synthetic_group(spec)) for spec in ([3, 3], [2, 4], [2, 2, 2])])
-
-
-def test_bit_walk_kernel_matches_the_tables(monkeypatch):
-    inputs = _kernel_inputs()
-    tabled = []
-    for args in inputs:
-        *got, eng = dfs_reference(*args)
-        assert eng.chunked
-        tabled.append(got)
-    monkeypatch.setattr(search, "STEP_TABLE_WORDS", 0)
-    for args, want in zip(inputs, tabled):
-        *got, eng = dfs_reference(*args)
-        assert not eng.chunked
-        assert got == want
-
-
-@pytest.mark.parametrize("step_words", [search.STEP_TABLE_WORDS, 0], ids=["chunked", "bit-walk"])
-def test_engine_matches_the_from_scratch_oracle(monkeypatch, step_words):
+# The bit walk is the reference DFS's one step kernel; the case keeps its id.
+@pytest.mark.parametrize("kernel", ["bit-walk"])
+def test_engine_matches_the_from_scratch_oracle(kernel):
     """The value and every memo entry, witness lookups included, equal the
-    plain recursion's: an inherited candidate list that dropped a live
-    candidate, or a wrong incremental step, would lower some entry."""
-    monkeypatch.setattr(search, "STEP_TABLE_WORDS", step_words)
-    for args in _kernel_inputs():
+    plain recursion's on every family ring in exact mode and three small
+    groups in group mode: an inherited candidate list that dropped a live
+    candidate, or a wrong incremental step, would lower some entry. The
+    bit walk's tables hold one single-bit entry per element and candidate."""
+    inputs = ([_exact_input(family_ring(spec)) for spec in FAMILY_SPECS]
+              + [davenport_input(synthetic_group(spec)) for spec in ([3, 3], [2, 4], [2, 2, 2])])
+    for args in inputs:
         total, witness, _, eng = dfs_reference(*args)
-        assert eng.chunked == bool(step_words)
+        assert all(len(row) == len(args[0]) and all(b and not b & (b - 1) for b in row)
+                   for row in eng.tables)
         oracle = longest_oracle(*args)
         assert total == oracle(0, 0)
         assert len(witness) == total
