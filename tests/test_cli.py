@@ -670,6 +670,30 @@ def test_cli_never_imports_numpy_ma():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_starts_no_blas_thread_pool(preset):
+    """Importing ebring before numpy sets OPENBLAS_NUM_THREADS=1 unless the
+    caller set it, so numpy's OpenBLAS starts no worker threads to spin
+    through the start-up; a request then runs on the one thread it began on."""
+    script = (
+        "import contextlib, io, os\n"
+        "from ebring.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert run(['invariants', 'Z/12', '--exact', '--json']) == 0\n"
+        "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], threads)\n")
+    env = _child_env()
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    setting, threads = proc.stdout.split()
+    assert setting == (preset or "1")
+    if preset is None:
+        assert threads == "1"
+
+
 def test_verify_builds_the_construction_once(capsys, monkeypatch):
     from ebring import cli, erdos_burgess
     calls = []
