@@ -28,17 +28,31 @@ free sequence repeats fewer than |<a>| times, as <a> holds an idempotent,
 so the long runs come last, where few candidates are left to try. On the
 benchmark's exact-eb rings this cut the free children from 806k to 185k.
 
-A level is expanded in numpy, in blocks: states are rows of little-endian
-uint64 words, S·a ORs bit(a) with one byte-chunk table entry per nonzero byte
-of S (entry ``[c, b, a]`` covers s and s·a for the elements s that byte value
-b marks in byte c), and free children wait at their popcount level, to be
-deduplicated when it comes up. A level's states go in order of start, and a
-block of them gathers the table columns from its first state's start on. The
-candidates go in table blocks that fit in ``STEP_TABLE_WORDS`` words, each
-built once per level, and only for the states whose start comes before its
-end. The count of states expanded does not depend on the labelling. The
-pending product sets are held within ``PENDING_CAP`` words, so memory is
-bounded whatever the budget. The sweep gives no witness.
+A level is expanded in numpy, in blocks, and a step is tested for freeness
+before its product set is built. States are rows of little-endian uint64
+words, and each candidate a has its preimage mask amask[a] = {s : s·a
+forbidden}, packed the same way. The test is exact: a pending S is free and
+no candidate is forbidden, so S·a = S | {a} | {s·a : s in S} meets the
+forbidden set just when some s in S has s·a forbidden, that is, when S &
+amask[a] is nonzero in some word. Only the free steps, at or after their
+state's start, are built: S·a ORs bit(a) with one byte-chunk table entry per
+byte of S (entry ``[c, i, b]`` covers s and s·a_i for the elements s that
+byte value b marks in byte c, and is empty for b = 0), read for every free
+step and every byte in one gather. Free children wait at their popcount
+level, to be deduplicated when it comes up. A level's states go in order of
+start, and a block of them takes the candidates from its first state's start
+on. The candidates go in table blocks that fit in ``STEP_TABLE_WORDS``
+words, each built at most once per level, when a free step needs it; the
+empty set needs none, as its children are the singletons. The count of
+states expanded does not depend on the labelling. The pending product sets
+are held within ``PENDING_CAP`` words, so memory is bounded whatever the
+budget. The cap is decided before a level expands: when the level could
+pass it, its free steps are counted from the masks alone, block by block,
+and the sweep stops where expansion would have passed the cap, with the
+same counters. This is exact when every candidate has a forbidden power, as
+a free S with S·a = S would hold every power of a, so the S·a = S refusal
+cannot come first; otherwise the level checks the cap as it expands. The
+sweep gives no witness.
 
 The reference DFS, ``max_free_sequence``, has no caller in the package: the
 tests check the sweep's values against it, and the benchmark's tracer names
@@ -72,13 +86,15 @@ import numpy as np
 
 from .errors import BudgetExceeded, InternalConsistencyError
 
-# Most uint64 words of byte-chunk step tables the sweep holds at once, 8 MiB:
-# it builds them a block of candidates at a time within this cap, down to one
-# candidate, whose table passes the cap above 2048 elements.
+# Most uint64 words of the byte-chunk step table the sweep holds, 8 MiB: it
+# builds the table a block of candidates at a time within this cap, down to
+# one candidate, whose table passes the cap above 2048 elements, and drops a
+# block's table before it builds the next.
 STEP_TABLE_WORDS = 1 << 20
-# Most products of one sweep block, in words (128 KiB). On the benchmark's
-# exact-eb rings this quarter of rings.BLOCK ran as fast as rings.BLOCK and
-# peaked about 0.6 MiB lower, its temporaries staying small.
+# Most (state, candidate) pairs of one sweep block, counted in words of their
+# product sets (128 KiB). The block's mask test holds at most this many words,
+# and the gather of its free steps one table entry per byte of a product set,
+# at most n / 8 times this.
 SWEEP_BLOCK = 1 << 14
 # Most words of product sets the sweep holds pending at once (128 MiB, and
 # 4 bytes more per product set for its length and start); past it the sweep
@@ -211,7 +227,7 @@ def _bit_rows(elements, words: int):
 
 def _step_tables(mul, cands, words: int):
     """Byte-chunk tables of S -> S·a for the candidates ``cands``: entry
-    ``[c, b, i]`` is the mask of {s, s·a_i} over s = 8c + k for the set bits k
+    ``[c, i, b]`` is the mask of {s, s·a_i} over s = 8c + k for the set bits k
     of b, so S·a_i is bit(a_i) ORed with the entries of S's bytes."""
     n, width = len(mul), len(cands)
     chunks = -(-n // 8)
@@ -219,21 +235,21 @@ def _step_tables(mul, cands, words: int):
     elem[:n] = (_bit_rows(np.arange(n), words)[:, None]
                 | _bit_rows(mul[:, cands], words).reshape(n, width, words))
     elem = elem.reshape(chunks, 8, width, words)
-    tab = np.zeros((chunks, 256, width, words), dtype=_WORD)
+    tab = np.zeros((chunks, width, 256, words), dtype=_WORD)
     for k in range(8):  # entries 2^k .. 2^(k+1) - 1 add element 8c + k to entries 0 .. 2^k - 1
-        np.bitwise_or(tab[:, :1 << k], elem[:, k, None], out=tab[:, 1 << k:2 << k])
+        np.bitwise_or(tab[:, :, :1 << k], elem[:, k, :, None], out=tab[:, :, 1 << k:2 << k])
     return tab
 
 
-def _semigroup_sizes(mul, cands):
-    """|<a>| = |{a, a^2, a^3, ...}| for each candidate a; the powers a .. a^n
-    cover it, as it holds at most n elements."""
+def _powers(mul, cands):
+    """``seen[i, x]``: whether x is in <a_i> = {a_i, a_i^2, ...}; the powers
+    a .. a^n cover it, as it holds at most n elements."""
     seen = np.zeros((len(cands), len(mul)), dtype=bool)
     rows, power = np.arange(len(cands)), cands
     for _ in range(len(mul)):
         seen[rows, power] = True
         power = mul[power, cands]
-    return seen.sum(axis=1)
+    return seen
 
 
 def _popcounts(rows):
@@ -284,45 +300,59 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
     mul = np.asarray(mul_rows, dtype=np.int64)
     words, chunks = -(-n // 64), -(-n // 8)
     forbidden = sorted({int(e) for e in forbidden})
-    forbidden_row = np.bitwise_or.reduce(_bit_rows(forbidden, words), axis=0)
     # a forbidden candidate is never a term of a free sequence
     # (a set difference, not np.setdiff1d, whose np.unique imports numpy.ma)
     cands = np.array(sorted({int(a) for a in candidates}.difference(forbidden)), dtype=np.int64)
-    cands = cands[np.lexsort((cands, _semigroup_sizes(mul, cands)))]
+    powers = _powers(mul, cands)
+    cands = cands[np.lexsort((cands, powers.sum(axis=1)))]
+    # only a candidate with no forbidden power has a free step S·a = S, which
+    # expansion refuses, so only then can the cap not be decided ahead of it
+    endless = not powers[:, forbidden].any(axis=1).all()
+    is_forbidden = np.zeros(n, dtype=bool)
+    is_forbidden[forbidden] = True
+    # amask[i]: the s with s·a_i forbidden, so a free S has S·a_i free just
+    # when it misses amask[i]
+    hits = np.zeros((len(cands), words * 64), dtype=bool)
+    hits[:, :n] = is_forbidden[mul[:, cands]].T
+    amask = np.packbits(hits, axis=1, bitorder="little").view(_WORD)
+    abits = _bit_rows(cands, words)
+    positions = np.arange(len(cands), dtype=_SMALL)
     width = max(1, STEP_TABLE_WORDS // (chunks * 256 * words))
-    blocks = [(lo, cands[lo:lo + width]) for lo in range(0, len(cands), width)]
-
-    def tables_of(block):
-        return _step_tables(mul, block, words), _bit_rows(block, words)
-
-    # a single block's tables are built once, several blocks' once per level
-    shared = tables_of(blocks[0][1]) if len(blocks) == 1 else None
+    bounds = [(lo, min(lo + width, len(cands))) for lo in range(0, len(cands), width)]
+    table = None  # (lo, entries as rows of words, each chunk's first row) of the last block built
 
     # pending[p]: (states, distances, starts) found at popcount p
     zero = np.zeros(1, dtype=_SMALL)
     pending = {0: [(np.zeros((1, words), dtype=_WORD), zero, zero)]}
     best = nodes = 0
     held = words  # words of the pending product sets
+    cap_passed = f"pending product sets passed the cap of {PENDING_CAP} words"
 
-    def expand(level, tab, abits, first, states, dists, starts):
-        """The free children of ``states`` by the table columns ``tab`` of the
-        candidates at positions ``first`` on, each at a position no less than
-        its parent's start."""
+    def blocks(starts):
+        """A level's blocks in sweep order, as (lo, hi, first, i, j): the
+        states i .. j - 1 by the candidates first .. hi - 1 of the table block
+        lo .. hi - 1, first being state i's start or lo."""
+        for lo, hi in bounds:
+            # states go in order of start, so a block's first has the least
+            todo, i = int(np.searchsorted(starts, hi)), 0
+            while i < todo:
+                first = max(int(starts[i]), lo)
+                j = min(todo, i + max(1, SWEEP_BLOCK // ((hi - first) * words)))
+                yield lo, hi, first, i, j
+                i = j
+
+    def free_steps(states, starts, first, hi):
+        """The free steps of ``states`` by the candidates first .. hi - 1 at or
+        after each state's start, as flat (state, candidate) indices."""
+        clash = states[:, None, 0] & amask[first:hi, 0]
+        for w in range(1, words):  # a word at a time: numpy reduces a short last axis slowly
+            clash |= states[:, None, w] & amask[first:hi, w]
+        return np.flatnonzero((clash == 0) & (positions[first:hi] >= starts[:, None]))
+
+    def file(level, kids, kid_dists, kid_starts):
+        """Files free children at their popcount levels, refusing S·a = S
+        and stopping past the pending cap."""
         nonlocal best, held
-        row_bytes = states.view(np.uint8)[:, :chunks]
-        prods = np.repeat(abits[None], len(states), axis=0)
-        for c in np.flatnonzero(row_bytes.any(axis=0)):
-            prods |= tab[c, row_bytes[:, c]]
-        hit = np.zeros(prods.shape[:2], dtype=_WORD)
-        for j in np.flatnonzero(forbidden_row):
-            hit |= prods[:, :, j] & forbidden_row[j]
-        positions = np.arange(first, first + len(abits), dtype=_SMALL)
-        free = np.flatnonzero((hit == 0) & (positions >= starts[:, None]))
-        if not len(free):
-            return
-        kids = prods.reshape(-1, words)[free]
-        kid_dists = dists[free // len(abits)] + 1
-        kid_starts = positions[free % len(abits)]
         best = max(best, int(kid_dists.max()))
         pops = _popcounts(kids)
         if (pops == level).any():  # S·a == S: closed under ·a, so no power of a is forbidden
@@ -330,8 +360,7 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
                              "set holds no power of a candidate")
         held += kids.size
         if held > PENDING_CAP:
-            raise BudgetExceeded(f"pending product sets passed the cap of {PENDING_CAP} words",
-                                 best, nodes)
+            raise BudgetExceeded(cap_passed, best, nodes)
         order = np.argsort(pops, kind="stable")
         pops, kids, kid_dists, kid_starts = pops[order], kids[order], kid_dists[order], kid_starts[order]
         cuts = [0, *(np.flatnonzero(pops[1:] != pops[:-1]) + 1), len(pops)]
@@ -348,21 +377,39 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
         if over:
             keep = budget - nodes
             states, dists, starts = states[:keep], dists[:keep], starts[:keep]
-        # table blocks outside, so each is built once per level, and only for
-        # the product sets whose start comes before its end
-        for lo, block in blocks:
-            todo = int(np.searchsorted(starts, lo + len(block)))
-            if not todo:
-                continue
-            tab, abits = shared or tables_of(block)
-            i = 0
-            while i < todo:
-                # states go in order of start, so the block's first has the least
-                col = max(int(starts[i]) - lo, 0)
-                j = min(todo, i + max(1, SWEEP_BLOCK // ((len(block) - col) * words)))
-                expand(level, tab[:, :, col:], abits[col:], lo + col,
-                       states[i:j], dists[i:j], starts[i:j])
-                i = j
+        if not level:  # the empty set's children are the singletons, with no table
+            if len(states) and len(cands):
+                file(0, abits, np.ones(len(cands), dtype=_SMALL), positions)
+        else:
+            if not endless and held + len(states) * len(cands) * words > PENDING_CAP:
+                # count the level's free steps block by block before any table
+                # is built, and stop where its expansion would pass the cap
+                room, top = PENDING_CAP - held, best
+                for _, hi, first, i, j in blocks(starts):
+                    free = free_steps(states[i:j], starts[i:j], first, hi)
+                    if len(free):
+                        top = max(top, int(dists[i + free // (hi - first)].max()) + 1)
+                        room -= len(free) * words
+                        if room < 0:
+                            raise BudgetExceeded(cap_passed, top, nodes)
+            for lo, hi, first, i, j in blocks(starts):
+                free = free_steps(states[i:j], starts[i:j], first, hi)
+                if not len(free):
+                    continue
+                if table is None or table[0] != lo:
+                    table = None  # dropped before the next block's is built
+                    table = (lo, _step_tables(mul, cands[lo:hi], words).reshape(-1, words),
+                             np.arange(chunks, dtype=np.intp)[:, None] * ((hi - lo) << 8))
+                rows, cols = np.divmod(free, hi - first)
+                cols += first
+                # index[c, k]: the row of entry [c, col - lo, byte c of the state] of step k;
+                # take copies a strided array whole, so it reads the block's bytes only
+                index = table[2] + ((cols - lo) << 8)
+                index += states[i:j].view(np.uint8)[:, :chunks].take(rows, axis=0).T
+                rows += i
+                kids = np.bitwise_or.reduce(table[1].take(index, axis=0), axis=0)
+                kids |= abits[cols]
+                file(level, kids, dists[rows] + 1, positions[cols])
         nodes += len(states)
         if over:
             raise BudgetExceeded("node budget exhausted", best, nodes)

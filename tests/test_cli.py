@@ -527,6 +527,24 @@ def test_sweep_memory_cap_stops_the_run_like_a_budget(capsys, monkeypatch):
                    "of 100 words (best free length proven: 3, nodes expanded: 15)\n")
 
 
+def test_sweep_decides_its_pending_cap_before_building_tables(capsys, monkeypatch):
+    """U(Z/5000) has 2000 elements. Its Davenport sweep expands the empty set
+    into 1999 singletons with no step table; their level would leave about 2M
+    product sets of 32 words pending. Counted from the preimage masks, that
+    passes the cap before any table is built, and the run stops as it would
+    after expanding: same counters, same message."""
+    def no_tables(*args):
+        raise AssertionError("a step table was built")
+
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    monkeypatch.setattr(search, "_step_tables", no_tables)
+    assert run(["invariants", "Z/5000", "--exact", "--budget", "2000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("budget exceeded: Davenport sweep of U(Z/5000): pending product sets passed "
+                   "the cap of 16777216 words (best free length proven: 2, nodes expanded: 1)\n")
+
+
 def test_perfbench_layers_resolve_in_the_package():
     """perfbench's tracer wraps every function its ``LAYERS`` table names, by
     ``getattr`` on the ebring module, so a name missing from the package

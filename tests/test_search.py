@@ -184,13 +184,20 @@ def _record_states(monkeypatch):
 
 @pytest.fixture(scope="module")
 def state_oracles():
-    """The family rings, two relabellings of each, and the groups of up to 16
-    elements, each with its ``sweep_oracle`` states."""
+    """The family rings, two relabellings of each, the groups of up to 16
+    elements, and two rings of 72 and 96 elements, whose product sets take a
+    second word, each also under one relabelling; each with its
+    ``sweep_oracle`` states."""
     inputs = [davenport_input(synthetic_group(spec)) for spec in SMALL_GROUPS if math.prod(spec) <= 16]
     for seed, spec in enumerate(FAMILY_SPECS * 3):
         ring = family_ring(spec)
         perm = random.Random(seed).sample(range(ring.order), ring.order)
         inputs.append(_exact_input(ring if seed < len(FAMILY_SPECS) else relabel(ring, perm)))
+    for seed, spec in enumerate(["Z/2 x Z/2 x Z/2 x Z/3 x Z/3",
+                                 "GF(2) x GF(2) x GF(2) x GF(2) x GF(2) x GF(3)"]):
+        ring = family_ring(spec)
+        perm = random.Random(seed).sample(range(ring.order), ring.order)
+        inputs += [_exact_input(ring), _exact_input(relabel(ring, perm))]
     return [(args, sweep_oracle(*args)) for args in inputs]
 
 
