@@ -236,8 +236,7 @@ def davenport(view: AbelianGroupView, *, budget: int | None = None) -> Davenport
     if swept:
         e = view.elements.index(view.one)
         try:
-            found = longest_free_length(view.table(), [i for i in range(view.order) if i != e],
-                                        {e}, budget=budget) + 1
+            found = longest_free_length(view.table(), range(view.order), {e}, budget=budget) + 1
         except BudgetExceeded as exc:
             raise exc.within(f"Davenport sweep of {view.label}") from None
         if found > value:

@@ -7,10 +7,11 @@ S·a = S | {a} | {s·a : s in S}.
 The level sweep, ``longest_free_length``, serves every searched value: the
 exact EB constant, and D(G) for the groups no theorem covers. Whether
 a sequence is free depends only on its product set S, so its states are the
-distinct S. A free step S -> S·a strictly grows S: S·a = S would let a repeat
-forever, and is refused. So every edge goes up in popcount, and one ascending
-sweep over popcount levels finishes each state's longest path from the empty
-set before the state is expanded; the answer is the largest such distance.
+distinct S. A free step S -> S·a strictly grows S: S·a = S would put every
+power of a in S, and a candidate with no forbidden power is refused before the
+sweep starts. So every edge goes up in popcount, and one ascending sweep over
+popcount levels finishes each state's longest path from the empty set before
+the state is expanded; the answer is the largest such distance.
 
 Each pending state also carries a start: the least candidate position among
 the steps that reached it. Deduplication keeps the least start next to the
@@ -21,11 +22,10 @@ induction each is reached with a start no later than its last term, so the
 next term is tried and the distance reaches the sequence's length. Every
 distance recorded is that of a real sequence, as freeness depends on S
 alone. So the value, the set of states, and the count of states expanded do
-not change, and the S·a = S refusal still fires on the ordered path of any
-unbounded sequence. The candidates go in order of |<a>|, the size of the
-cyclic semigroup {a, a^2, ...}, smallest first, ties by label: a term of a
-free sequence repeats fewer than |<a>| times, as <a> holds an idempotent,
-so the long runs come last, where few candidates are left to try. On the
+not change. The candidates go in order of |<a>|, the size of the cyclic
+semigroup {a, a^2, ...}, smallest first, ties by label: a term of a free
+sequence repeats fewer than |<a>| times, as <a> holds an idempotent, so the
+long runs come last, where few candidates are left to try. On the
 benchmark's exact-eb rings this cut the free children from 806k to 185k.
 
 A level is expanded in numpy, in blocks, and a step is tested for freeness
@@ -46,12 +46,11 @@ words, each built at most once per level, when a free step needs it; the
 empty set needs none, as its children are the singletons. The count of
 states expanded does not depend on the labelling. The pending product sets
 are held within ``PENDING_CAP`` words, so memory is bounded whatever the
-budget. The cap is decided before a level expands: when the level could
-pass it, its free steps are counted from the masks alone, block by block,
-and the sweep stops where expansion would have passed the cap, with the
-same counters. This is exact when every candidate has a forbidden power, as
-a free S with S·a = S would hold every power of a, so the S·a = S refusal
-cannot come first; otherwise the level checks the cap as it expands. The
+budget. The cap is decided before each level expands, the empty set's
+included: when the level could pass it, its free steps are counted from the
+masks alone, block by block, and the sweep stops where expansion would have
+passed the cap, with the same counters. The count is exact on every level,
+as every free step it counts is filed, and it is the only cap check. The
 sweep gives no witness.
 
 The reference DFS, ``max_free_sequence``, has no caller in the package: the
@@ -304,10 +303,11 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
     # (a set difference, not np.setdiff1d, whose np.unique imports numpy.ma)
     cands = np.array(sorted({int(a) for a in candidates}.difference(forbidden)), dtype=np.int64)
     powers = _powers(mul, cands)
+    if not powers[:, forbidden].any(axis=1).all():
+        # a, a, a, ... is free at every length
+        raise ValueError("no free sequence is maximal: the forbidden "
+                         "set holds no power of a candidate")
     cands = cands[np.lexsort((cands, powers.sum(axis=1)))]
-    # only a candidate with no forbidden power has a free step S·a = S, which
-    # expansion refuses, so only then can the cap not be decided ahead of it
-    endless = not powers[:, forbidden].any(axis=1).all()
     is_forbidden = np.zeros(n, dtype=bool)
     is_forbidden[forbidden] = True
     # amask[i]: the s with s·a_i forbidden, so a free S has S·a_i free just
@@ -349,18 +349,12 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
             clash |= states[:, None, w] & amask[first:hi, w]
         return np.flatnonzero((clash == 0) & (positions[first:hi] >= starts[:, None]))
 
-    def file(level, kids, kid_dists, kid_starts):
-        """Files free children at their popcount levels, refusing S·a = S
-        and stopping past the pending cap."""
+    def file(kids, kid_dists, kid_starts):
+        """Files free children at their popcount levels."""
         nonlocal best, held
         best = max(best, int(kid_dists.max()))
-        pops = _popcounts(kids)
-        if (pops == level).any():  # S·a == S: closed under ·a, so no power of a is forbidden
-            raise ValueError("no free sequence is maximal: the forbidden "
-                             "set holds no power of a candidate")
         held += kids.size
-        if held > PENDING_CAP:
-            raise BudgetExceeded(cap_passed, best, nodes)
+        pops = _popcounts(kids)
         order = np.argsort(pops, kind="stable")
         pops, kids, kid_dists, kid_starts = pops[order], kids[order], kid_dists[order], kid_starts[order]
         cuts = [0, *(np.flatnonzero(pops[1:] != pops[:-1]) + 1), len(pops)]
@@ -377,21 +371,21 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
         if over:
             keep = budget - nodes
             states, dists, starts = states[:keep], dists[:keep], starts[:keep]
+        if held + len(states) * len(cands) * words > PENDING_CAP:
+            # count the level's free steps block by block before any table
+            # is built, and stop where its expansion would pass the cap
+            room, top = PENDING_CAP - held, best
+            for _, hi, first, i, j in blocks(starts):
+                free = free_steps(states[i:j], starts[i:j], first, hi)
+                if len(free):
+                    top = max(top, int(dists[i + free // (hi - first)].max()) + 1)
+                    room -= len(free) * words
+                    if room < 0:
+                        raise BudgetExceeded(cap_passed, top, nodes)
         if not level:  # the empty set's children are the singletons, with no table
             if len(states) and len(cands):
-                file(0, abits, np.ones(len(cands), dtype=_SMALL), positions)
+                file(abits, np.ones(len(cands), dtype=_SMALL), positions)
         else:
-            if not endless and held + len(states) * len(cands) * words > PENDING_CAP:
-                # count the level's free steps block by block before any table
-                # is built, and stop where its expansion would pass the cap
-                room, top = PENDING_CAP - held, best
-                for _, hi, first, i, j in blocks(starts):
-                    free = free_steps(states[i:j], starts[i:j], first, hi)
-                    if len(free):
-                        top = max(top, int(dists[i + free // (hi - first)].max()) + 1)
-                        room -= len(free) * words
-                        if room < 0:
-                            raise BudgetExceeded(cap_passed, top, nodes)
             for lo, hi, first, i, j in blocks(starts):
                 free = free_steps(states[i:j], starts[i:j], first, hi)
                 if not len(free):
@@ -409,7 +403,7 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
                 rows += i
                 kids = np.bitwise_or.reduce(table[1].take(index, axis=0), axis=0)
                 kids |= abits[cols]
-                file(level, kids, dists[rows] + 1, positions[cols])
+                file(kids, dists[rows] + 1, positions[cols])
         nodes += len(states)
         if over:
             raise BudgetExceeded("node budget exhausted", best, nodes)

@@ -513,18 +513,20 @@ def test_size_caps_refuse_above_and_run_at_the_cap(capsys, monkeypatch, argv, co
     assert bool(out) == (code == 0)
 
 
-def test_sweep_memory_cap_stops_the_run_like_a_budget(capsys, monkeypatch):
+@pytest.mark.parametrize("cap, best, nodes", [(100, 3, 15), (10, 1, 0)], ids=["cap-100", "cap-10"])
+def test_sweep_memory_cap_stops_the_run_like_a_budget(capsys, monkeypatch, cap, best, nodes):
     """The sweep holds its pending product sets within ``PENDING_CAP`` words,
     whatever the budget. Past it the run stops with exit 3, naming the sweep
     and what it proved: Z/16's first 15 product sets leave more than 100
-    words pending."""
+    words pending, and its 14 singletons alone pass 10 words, a cap decided
+    on the empty set's level."""
     monkeypatch.delenv("EBRING_BUDGET", raising=False)
-    monkeypatch.setattr(search, "PENDING_CAP", 100)
+    monkeypatch.setattr(search, "PENDING_CAP", cap)
     assert run(["invariants", "Z/16", "--exact"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("budget exceeded: exact sweep of Z/16: pending product sets passed the cap "
-                   "of 100 words (best free length proven: 3, nodes expanded: 15)\n")
+    assert err == (f"budget exceeded: exact sweep of Z/16: pending product sets passed the cap "
+                   f"of {cap} words (best free length proven: {best}, nodes expanded: {nodes})\n")
 
 
 def test_sweep_decides_its_pending_cap_before_building_tables(capsys, monkeypatch):

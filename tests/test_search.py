@@ -27,6 +27,9 @@ def test_unreachable_forbidden_set_is_refused():
         max_free_sequence(rows, [1], set())
     with pytest.raises(ValueError, match="no free sequence is maximal"):
         search.longest_free_length(rows, [1], set())
+    # refused before the sweep starts, so before the budget is read
+    with pytest.raises(ValueError, match="no free sequence is maximal"):
+        search.longest_free_length(rows, [1], set(), budget=0)
 
 
 def test_sweep_refuses_more_elements_than_int16_holds():
