@@ -31,25 +31,15 @@ UNKNOWN = "unknown"
 # construction ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DepthCertificate:
-    """Verified membership of a prefix product in M^depth but not M^(depth+1)."""
-    depth: int
-    product: int
-    in_power: bool
-    outside_next: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.in_power and self.outside_next
-
-
-@dataclass(frozen=True)
 class IdealConstruction:
+    """One maximal ideal's part of the construction: its chosen elements,
+    their lifts, and the prefix products y_1...y_j for j = 1 .. k-1, each
+    checked to lie in M^j and outside M^(j+1)."""
     ideal: Ideal
     index: int
     chosen: tuple[int, ...]
     lifted: tuple[int, ...]
-    certificates: tuple[DepthCertificate, ...]
+    products: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -59,7 +49,6 @@ class ConstructionTrace:
     unit_witness: Sequence
     free_sequence: Sequence
     lower_bound: int
-    verified: bool
 
 
 def _depth_tuple(ring, m_ideal, powers, k):
@@ -105,6 +94,11 @@ def construct_extremal(ring: FiniteRing, *, budget: int | None = None) -> Constr
     are found, lifted to be 1 modulo the other stationary ideal powers, and
     appended to a maximal zero-sum-free sequence of units. The node budget,
     if any, limits the unit-group Davenport sweep.
+
+    Every check is made here: each prefix product y_1...y_j lies in M^j and
+    outside M^(j+1), the sequence has length lower bound - 1, and it is
+    idempotent-product free. A failure raises InternalConsistencyError, so
+    every trace returned has passed all three.
     """
     maxi = maximal_ideals(ring)
     chains = [power_chain(m) for m in maxi]
@@ -118,16 +112,16 @@ def construct_extremal(ring: FiniteRing, *, budget: int | None = None) -> Constr
             per_ideal.append(IdealConstruction(m, k, (), (), ()))
             continue
         chosen = _depth_tuple(ring, m, powers, k)
-        certs = []
+        products = []
         prod = ring.one
         for j, y in enumerate(chosen, start=1):
             prod = ring.mul(prod, y)
-            certs.append(DepthCertificate(j, prod,
-                                          bool(powers[j].mask[prod]),
-                                          not powers[j + 1].mask[prod]))
+            if not powers[j].mask[prod] or powers[j + 1].mask[prod]:
+                raise InternalConsistencyError("a prefix depth certificate failed")
+            products.append(prod)
         lifted = tuple(_crt_lift(ring, stationary, pos, y) for y in chosen)
         all_lifted.extend(lifted)
-        per_ideal.append(IdealConstruction(m, k, chosen, lifted, tuple(certs)))
+        per_ideal.append(IdealConstruction(m, k, chosen, lifted, tuple(products)))
 
     dav = davenport(unit_group_view(ring), budget=budget)
     free = Sequence.make(ring, dav.witness.terms + tuple(all_lifted))
@@ -135,11 +129,9 @@ def construct_extremal(ring: FiniteRing, *, budget: int | None = None) -> Constr
 
     if len(free) != lower - 1:
         raise InternalConsistencyError("assembled sequence has the wrong length")
-    if not all(c.holds for ic in per_ideal for c in ic.certificates):
-        raise InternalConsistencyError("a prefix depth certificate failed")
     if not is_idempotent_product_free(free):
         raise InternalConsistencyError("assembled sequence is not idempotent-product free")
-    return ConstructionTrace(ring, tuple(per_ideal), dav.witness, free, lower, True)
+    return ConstructionTrace(ring, tuple(per_ideal), dav.witness, free, lower)
 
 
 # exact search ----------------------------------------------------------------
@@ -325,20 +317,17 @@ def classify_equality_case(num_maximal: int, indices) -> str:
     return UNKNOWN
 
 
-def report(ring: FiniteRing, *, exact: bool = False, budget: int | None = None,
-           trace: ConstructionTrace | None = None) -> InvariantReport:
+def report(ring: FiniteRing, *, exact: bool = False, budget: int | None = None) -> InvariantReport:
     """Assemble every invariant for one ring.
 
     Without ``exact``, the exact value is filled from the lower bound only in
     the certified equality cases and flagged as formula-derived; otherwise an
-    exhaustive search runs under ``EB_SEARCH_CAP`` and the node budget.
-    ``trace`` is the ring's ``construct_extremal`` result when the caller
-    already has it.
+    exhaustive search runs under ``EB_SEARCH_CAP`` and the node budget. The
+    witness is ``construct_extremal``'s checked sequence. A value outside
+    [lower bound, upper bound], or unequal to the lower bound in an equality
+    case, raises InternalConsistencyError.
     """
-    if trace is None:
-        trace = construct_extremal(ring, budget=budget)
-    elif trace.ring is not ring:
-        raise ValueError("construction trace belongs to a different ring")
+    trace = construct_extremal(ring, budget=budget)
     indices = [ic.index for ic in trace.per_ideal]
     summaries = tuple(
         MaximalIdealSummary(tuple(ring.name(g) for g in ic.ideal.generators),

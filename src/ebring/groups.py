@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused
 from .ideals import units
 from .rings import (TABLE_CAP, VALIDATION_CAP, FiniteRing, MixedRadix, _prime_power,
-                    prime_factors, row_blocks, vpower)
+                    check_table_cap, prime_factors, row_blocks, vpower)
 from .search import longest_free_length
 from .sequences import Sequence, product_set
 
@@ -60,8 +60,10 @@ class AbelianGroupView:
     def table(self) -> np.ndarray:
         """Position table: entry [i, j] is the position in ``elements`` of the
         product of the elements at positions i and j. A product outside the
-        carrier gets the position where it would be inserted."""
+        carrier gets the position where it would be inserted. Refused above
+        ``TABLE_CAP`` elements, as ring tables are."""
         if self._table is None:
+            check_table_cap(self.label, self.order)
             e = self.element_array()
             self._table = np.empty((len(e), len(e)), dtype=np.int64)
             for rows in row_blocks(len(e), len(e)):
@@ -172,7 +174,6 @@ class DavenportResult:
     """Exact Davenport constant with a maximal zero-sum-free witness."""
     value: int
     witness: Sequence
-    group: AbelianGroupView
 
 
 def is_zero_sum_free(view: AbelianGroupView, seq: Sequence) -> bool:
@@ -248,4 +249,4 @@ def davenport(view: AbelianGroupView, *, budget: int | None = None) -> Davenport
     witness = Sequence.make(view, _basis_witness(view, factors))
     if len(witness) != value - 1 or not is_zero_sum_free(view, witness):
         raise InternalConsistencyError(f"Davenport witness of {view.label} is not zero-sum free")
-    return DavenportResult(value, witness, view)
+    return DavenportResult(value, witness)

@@ -41,6 +41,12 @@ ARRAY_CAP = 1 << 24
 BLOCK = 1 << 16
 
 
+def check_table_cap(label: str, order: int) -> None:
+    """Refuse an order² table, of a ring or a group, above ``TABLE_CAP``."""
+    if order > TABLE_CAP:
+        raise ValueError(f"{label} has {order} elements, beyond the table cap {TABLE_CAP}")
+
+
 class FiniteRing:
     """A finite commutative unitary ring with elements indexed 0..order-1.
 
@@ -83,9 +89,7 @@ class FiniteRing:
         """The (add, mul) operation tables as int32 arrays, tabulated from the
         kernels on the first call; refused above ``TABLE_CAP`` elements."""
         if self._add_t is None:
-            if self.order > TABLE_CAP:
-                raise ValueError(f"{self.label} has {self.order} elements, "
-                                 f"beyond the table cap {TABLE_CAP}")
+            check_table_cap(self.label, self.order)
             self._set_tables(_tabulate(self.order, self.vadd),
                              _tabulate(self.order, self.vmul))
         return self._add_t, self._mul_t

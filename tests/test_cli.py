@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ebring import (SpecParseError, build_ring, parse_group_spec, parse_ring_spec, report,
                     serialize_report, synthetic_group)
-from ebring import cli, ideals, search
+from ebring import cli, erdos_burgess, ideals, search
 from ebring.cli import BUDGET_ENV, RingSpec, run
 
 from conftest import idempotent_product_free, product_reference, zero_sum_free
@@ -729,6 +729,31 @@ def test_verify_builds_the_construction_once(capsys, monkeypatch):
     assert len(calls) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (
         "Z/12: exact 4, lower 4, upper 9, case unknown")
+
+
+@pytest.mark.parametrize("command", ["construct", "verify"])
+def test_a_failed_depth_check_exits_1(command, capsys, monkeypatch):
+    """Chosen elements (4, 4, 4) in Z/16 put the first prefix product in M^2,
+    not at depth 1: the construction raises, and the command exits 1 with the
+    check's message and no stdout."""
+    monkeypatch.setattr(erdos_burgess, "_depth_tuple", lambda ring, m, powers, k: (4,) * (k - 1))
+    assert run([command, "Z/16"]) == 1
+    assert capsys.readouterr() == ("", "invariant violation: a prefix depth certificate failed\n")
+
+
+def test_an_exact_value_past_the_upper_bound_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(erdos_burgess, "exact_eb", lambda ring, budget=None: 16)
+    assert run(["verify", "Z/16"]) == 1
+    assert capsys.readouterr() == ("", "invariant violation: exact value 16 escapes [8, 15]\n")
+
+
+def test_a_unit_group_past_the_table_cap_is_refused(capsys):
+    """U(Z/27720) has 5,760 elements and rank above two, so D(U) needs the
+    sweep and its position table; the table is refused before it is built
+    (5760^2 int64 entries), as a ring's tables are past the cap."""
+    assert run(["invariants", "Z/27720", "--budget", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: U(Z/27720) has 5760 elements, beyond the table cap 4096\n")
 
 
 def test_huge_rings_are_refused_not_enumerated(capsys):

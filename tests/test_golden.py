@@ -13,7 +13,14 @@ Davenport search before the groups outside the theorems took their value
 from the sweep. Every witness now comes from one basis rule; it kept those
 bytes on all but five ``davenport`` entries (Z4 x Z6, Z2 x Z2 x Z3,
 Z2 x Z2 x Z5, Z2 x Z2 x Z7 and Z2 x Z3 x Z3), whose witnesses were
-recorded again, and every ``davenport`` witness is checked by the oracle."""
+recorded again, and every ``davenport`` witness is checked by the oracle.
+
+``golden_construct.json`` freezes exit code, stdout and stderr of
+``construct`` and ``construct --json`` on ``FAMILY_SPECS`` plus Z/24, Z/36
+and Z/84, and of ``verify`` on ``FAMILY_SPECS`` plus Z/24. It was recorded
+while the construction still carried a flag per depth certificate and
+``verify`` recomputed each check, so it pins that the checks made once, where
+each value is built, print the same bytes."""
 
 import json
 from itertools import combinations_with_replacement
@@ -28,6 +35,7 @@ from ebring.groups import synthetic_group
 from conftest import FAMILY_SPECS, zero_sum_free
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+GOLDEN_CONSTRUCT = json.loads(Path(__file__).with_name("golden_construct.json").read_text())
 
 
 def test_golden_covers_the_spec_lists():
@@ -60,3 +68,17 @@ def test_golden_davenport_witness_is_zero_sum_free(entry):
     terms = [index[name] for name in doc["witness"]]
     assert len(terms) == doc["davenport"] - 1
     assert zero_sum_free(group, terms)
+
+
+def test_construct_golden_covers_the_spec_lists():
+    built = FAMILY_SPECS + ["Z/24", "Z/36", "Z/84"]
+    assert [e["argv"] for e in GOLDEN_CONSTRUCT] == (
+        [["construct", s] for s in built] + [["construct", s, "--json"] for s in built]
+        + [["verify", s] for s in FAMILY_SPECS + ["Z/24"]])
+
+
+@pytest.mark.parametrize("entry", GOLDEN_CONSTRUCT, ids=lambda e: " ".join(e["argv"]))
+def test_construct_and_verify_match_golden(entry, capsys, monkeypatch):
+    monkeypatch.delenv("EBRING_BUDGET", raising=False)
+    assert run(entry["argv"]) == entry["exit"]
+    assert capsys.readouterr() == (entry["stdout"], entry["stderr"])
