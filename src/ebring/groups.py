@@ -60,12 +60,12 @@ class AbelianGroupView:
     def table(self) -> np.ndarray:
         """Position table: entry [i, j] is the position in ``elements`` of the
         product of the elements at positions i and j. A product outside the
-        carrier gets the position where it would be inserted. Refused above
-        ``TABLE_CAP`` elements, as ring tables are."""
+        carrier gets the position where it would be inserted. Held as int32
+        and refused above ``TABLE_CAP`` elements, as ring tables are."""
         if self._table is None:
             check_table_cap(self.label, self.order)
             e = self.element_array()
-            self._table = np.empty((len(e), len(e)), dtype=np.int64)
+            self._table = np.empty((len(e), len(e)), dtype=np.int32)
             for rows in row_blocks(len(e), len(e)):
                 self._table[rows] = np.searchsorted(e, self.vmul(e[rows, None], e[None, :]))
         return self._table
@@ -89,7 +89,7 @@ def validate_group(view: AbelianGroupView) -> None:
     if bad.size:
         raise ValueError(f"identity fails at element {els[bad[0]]}")
     if view._table is None:  # the position table, from the products just taken
-        view._table = np.searchsorted(els, prod)
+        view._table = np.searchsorted(els, prod).astype(np.int32)
     t = np.minimum(view._table, n - 1)
     escapes = els[t] != prod
     bad = np.argwhere(escapes | (prod != prod.T))

@@ -35,23 +35,23 @@ forbidden}, packed the same way. The test is exact: a pending S is free and
 no candidate is forbidden, so S·a = S | {a} | {s·a : s in S} meets the
 forbidden set just when some s in S has s·a forbidden, that is, when S &
 amask[a] is nonzero in some word. Only the free steps, at or after their
-state's start, are built: S·a ORs bit(a) with one byte-chunk table entry per
-byte of S (entry ``[c, i, b]`` covers s and s·a_i for the elements s that
-byte value b marks in byte c, and is empty for b = 0), read for every free
-step and every byte in one gather. Free children wait at their popcount
-level, to be deduplicated when it comes up. A level's states go in order of
-start, and a block of them takes the candidates from its first state's start
-on. The candidates go in table blocks that fit in ``STEP_TABLE_WORDS``
-words, each built at most once per level, when a free step needs it; the
-empty set needs none, as its children are the singletons. The count of
-states expanded does not depend on the labelling. The pending product sets
-are held within ``PENDING_CAP`` words, so memory is bounded whatever the
-budget. The cap is decided before each level expands, the empty set's
-included: when the level could pass it, its free steps are counted from the
-masks alone, block by block, and the sweep stops where expansion would have
-passed the cap, with the same counters. The count is exact on every level,
-as every free step it counts is filed, and it is the only cap check. The
-sweep gives no witness.
+state's start, are built: S·a ORs one byte-chunk table entry per byte of S
+(entry ``[c, i, b]`` covers s and s·a_i for the elements s that byte value b
+marks in byte c, and the chunk-0 entries also carry bit(a_i), which every
+step reads once), read for every free step and every byte in one gather.
+Free children wait at their popcount level, to be deduplicated when it comes
+up. A level's states go in order of start, and a block of them takes the
+candidates from its first state's start on. The candidates go in table
+blocks that fit in ``STEP_TABLE_WORDS`` words, each built at most once per
+level, when a free step needs it; the empty set needs none, as its children
+are the singletons. The count of states expanded does not depend on the
+labelling. The pending product sets are held within ``PENDING_CAP`` words,
+so memory is bounded whatever the budget. The cap is decided before each
+level expands, the empty set's included: when the level could pass it, its
+free steps are counted from the masks alone, block by block, and the sweep
+stops where expansion would have passed the cap, with the same counters. The
+count is exact on every level, as every free step it counts is filed, and it
+is the only cap check. The sweep gives no witness.
 
 The reference DFS, ``max_free_sequence``, has no caller in the package: the
 tests check the sweep's values against it, and the benchmark's tracer names
@@ -227,7 +227,8 @@ def _bit_rows(elements, words: int):
 def _step_tables(mul, cands, words: int):
     """Byte-chunk tables of S -> S·a for the candidates ``cands``: entry
     ``[c, i, b]`` is the mask of {s, s·a_i} over s = 8c + k for the set bits k
-    of b, so S·a_i is bit(a_i) ORed with the entries of S's bytes."""
+    of b, with bit(a_i) added in chunk 0, so S·a_i is the OR of the entries
+    of S's bytes."""
     n, width = len(mul), len(cands)
     chunks = -(-n // 8)
     elem = np.zeros((chunks * 8, width, words), dtype=_WORD)
@@ -237,6 +238,7 @@ def _step_tables(mul, cands, words: int):
     tab = np.zeros((chunks, width, 256, words), dtype=_WORD)
     for k in range(8):  # entries 2^k .. 2^(k+1) - 1 add element 8c + k to entries 0 .. 2^k - 1
         np.bitwise_or(tab[:, :, :1 << k], elem[:, k, :, None], out=tab[:, :, 1 << k:2 << k])
+    tab[0] |= _bit_rows(cands, words)[:, None]
     return tab
 
 
@@ -270,14 +272,15 @@ def _dedup(parts):
     starts), each with its largest distance and least start, in order of
     start."""
     states, dists, starts = (np.concatenate(col) for col in zip(*parts))
-    order = np.argsort(states[:, 0]) if states.shape[1] == 1 else np.lexsort(states.T[::-1])
+    order = states[:, 0].argsort() if states.shape[1] == 1 else np.lexsort(states.T[::-1])
     states = states[order]
-    fresh = np.ones(len(states), dtype=bool)
+    fresh = np.empty(len(states), dtype=bool)
+    fresh[0] = True
     fresh[1:] = _changes(states)
-    heads = np.flatnonzero(fresh)
+    heads = fresh.nonzero()[0]
     dists = np.maximum.reduceat(dists[order], heads)
     starts = np.minimum.reduceat(starts[order], heads)
-    by_start = np.argsort(starts, kind="stable")
+    by_start = starts.argsort(kind="stable")
     return states[heads[by_start]], dists[by_start], starts[by_start]
 
 
@@ -286,7 +289,8 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
     """Length of the longest sequence of ``candidates`` whose product set
     avoids ``forbidden``, by a sweep over distinct product sets in popcount
     order (see the module docstring). ``mul_rows`` is the multiplication
-    table, as rows or a 2-D array, of at most 32767 elements.
+    table, as rows or a 2-D array of any integer type, read without a copy,
+    of at most 32767 elements.
 
     ``budget``, if given, is the most product sets to expand, the empty one
     included. On exhaustion, ``BudgetExceeded.best_length`` is the longest
@@ -296,7 +300,7 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
     if n > np.iinfo(_SMALL).max:
         raise ValueError(f"the sweep holds lengths and positions as int16, so it takes "
                          f"at most {np.iinfo(_SMALL).max} elements, not {n}")
-    mul = np.asarray(mul_rows, dtype=np.int64)
+    mul = np.asarray(mul_rows)
     words, chunks = -(-n // 64), -(-n // 8)
     forbidden = sorted({int(e) for e in forbidden})
     # a forbidden candidate is never a term of a free sequence
@@ -315,7 +319,6 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
     hits = np.zeros((len(cands), words * 64), dtype=bool)
     hits[:, :n] = is_forbidden[mul[:, cands]].T
     amask = np.packbits(hits, axis=1, bitorder="little").view(_WORD)
-    abits = _bit_rows(cands, words)
     positions = np.arange(len(cands), dtype=_SMALL)
     width = max(1, STEP_TABLE_WORDS // (chunks * 256 * words))
     bounds = [(lo, min(lo + width, len(cands))) for lo in range(0, len(cands), width)]
@@ -334,7 +337,7 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
         lo .. hi - 1, first being state i's start or lo."""
         for lo, hi in bounds:
             # states go in order of start, so a block's first has the least
-            todo, i = int(np.searchsorted(starts, hi)), 0
+            todo, i = int(starts.searchsorted(hi)), 0
             while i < todo:
                 first = max(int(starts[i]), lo)
                 j = min(todo, i + max(1, SWEEP_BLOCK // ((hi - first) * words)))
@@ -347,7 +350,7 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
         clash = states[:, None, 0] & amask[first:hi, 0]
         for w in range(1, words):  # a word at a time: numpy reduces a short last axis slowly
             clash |= states[:, None, w] & amask[first:hi, w]
-        return np.flatnonzero((clash == 0) & (positions[first:hi] >= starts[:, None]))
+        return ((clash == 0) & (positions[first:hi] >= starts[:, None])).ravel().nonzero()[0]
 
     def file(kids, kid_dists, kid_starts):
         """Files free children at their popcount levels."""
@@ -355,11 +358,13 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
         best = max(best, int(kid_dists.max()))
         held += kids.size
         pops = _popcounts(kids)
-        order = np.argsort(pops, kind="stable")
-        pops, kids, kid_dists, kid_starts = pops[order], kids[order], kid_dists[order], kid_starts[order]
-        cuts = [0, *(np.flatnonzero(pops[1:] != pops[:-1]) + 1), len(pops)]
-        for i, j in zip(cuts, cuts[1:]):
-            pending.setdefault(int(pops[i]), []).append((kids[i:j], kid_dists[i:j], kid_starts[i:j]))
+        order = pops.argsort(kind="stable")
+        kids, kid_dists, kid_starts = kids[order], kid_dists[order], kid_starts[order]
+        j = 0
+        for pop, count in enumerate(np.bincount(pops).tolist()):
+            if count:
+                i, j = j, j + count
+                pending.setdefault(pop, []).append((kids[i:j], kid_dists[i:j], kid_starts[i:j]))
 
     for level in range(n + 1):
         if level not in pending:
@@ -384,7 +389,7 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
                         raise BudgetExceeded(cap_passed, top, nodes)
         if not level:  # the empty set's children are the singletons, with no table
             if len(states) and len(cands):
-                file(abits, np.ones(len(cands), dtype=_SMALL), positions)
+                file(_bit_rows(cands, words), np.ones(len(cands), dtype=_SMALL), positions)
         else:
             for lo, hi, first, i, j in blocks(starts):
                 free = free_steps(states[i:j], starts[i:j], first, hi)
@@ -402,7 +407,6 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
                 index += states[i:j].view(np.uint8)[:, :chunks].take(rows, axis=0).T
                 rows += i
                 kids = np.bitwise_or.reduce(table[1].take(index, axis=0), axis=0)
-                kids |= abits[cols]
                 file(kids, dists[rows] + 1, positions[cols])
         nodes += len(states)
         if over:

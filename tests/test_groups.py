@@ -149,6 +149,20 @@ def test_validation_takes_each_pair_product_once(sizes):
     assert np.array_equal(table, np.concatenate(blocks))
 
 
+def test_position_tables_are_int32_on_both_construction_paths():
+    """A view past ``VALIDATION_CAP`` builds its table a block of rows at a
+    time; a validated view keeps the positions validation took. Both hold
+    int32, as ring tables do, and the sweep reads them without a copy."""
+    built = unit_group_view(make_zmod(9240))
+    assert built.order > groups.VALIDATION_CAP
+    validated = synthetic_group((2, 2, 6))
+    assert validated._table is not None
+    for view in (built, validated):
+        table = view.table()
+        assert table.dtype == np.int32
+        e = view.element_array()
+        assert np.array_equal(table[:64], np.searchsorted(e, view.vmul(e[:64, None], e[None, :])))
+
 def test_davenport_trivial_group():
     result = davenport(synthetic_group([]))
     assert result.value == 1

@@ -129,6 +129,26 @@ def _sweep_within(args, states):
     return search.longest_free_length(*args, budget=states)
 
 
+@pytest.mark.parametrize("spec", ["Z/40", "Z/9 x GF(2) x GF(2) x GF(2)"])
+def test_step_tables_match_their_definition(spec):
+    """For every element as a candidate a_i, the OR over the chunks c of entry
+    [c, i, byte c of S] is S·a_i = S ∪ {a_i} ∪ {s·a_i : s in S}, on the empty
+    set and on random product-set rows S, for one and two words per row."""
+    ring = family_ring(spec)
+    mul, n = ring.tables()[1], ring.order
+    words, chunks = -(-n // 64), -(-n // 8)
+    tab = search._step_tables(mul, np.arange(n), words)
+    rng = random.Random(n)
+    sets = [0] + [rng.getrandbits(n) for _ in range(50)]
+    rows = np.array([list(s.to_bytes(8 * words, "little")) for s in sets], dtype=np.uint8)
+    for i in range(n):
+        got = np.bitwise_or.reduce(tab[np.arange(chunks), i, rows[:, :chunks]], axis=1)
+        for s, row in zip(sets, got):
+            members = [x for x in range(n) if s >> x & 1]
+            want = {i} | set(members) | {int(mul[x, i]) for x in members}
+            assert int.from_bytes(row.tobytes(), "little") == sum(1 << x for x in want)
+
+
 @pytest.mark.parametrize("spec, length", [
     ("Z/12", 3), ("Z/16", 7), ("Z/13", 11), ("Z/40", 7), ("Z/36", 8), ("Z/27", 19),
     ("GF(3)[x]/(x^3)", 9), ("Z/2 x Z/16", 7)])
@@ -270,6 +290,29 @@ def test_node_budget_stops_the_sweep_after_whole_levels(levels, nodes, best_leng
     with pytest.raises(BudgetExceeded, match="node budget exhausted") as err:
         search.longest_free_length(*args, budget=nodes)
     assert (err.value.nodes, err.value.best_length, err.value.exact) == (nodes, best_length, False)
+
+
+@pytest.mark.parametrize("step_words, block", [(search.STEP_TABLE_WORDS, search.SWEEP_BLOCK),
+                                                (0, search.SWEEP_BLOCK),
+                                                (search.STEP_TABLE_WORDS, 1)],
+                         ids=["one-block", "per-candidate", "per-state"])
+@pytest.mark.parametrize("spec, budget, best_length, length", [
+    ("Z/27", 9000, 13, 19), ("Z/9 x GF(2) x GF(2) x GF(2)", 3000, 5, 6)])
+def test_node_budget_stops_the_sweep_inside_a_level(monkeypatch, step_words, block,
+                                                    spec, budget, best_length, length):
+    """A budget that ends inside a popcount level expands that level's first
+    states in order of start, so the longest sequence found by then depends
+    on the order of the states within the level."""
+    monkeypatch.setattr(search, "STEP_TABLE_WORDS", step_words)
+    monkeypatch.setattr(search, "SWEEP_BLOCK", block)
+    args = _exact_input(family_ring(spec))
+    found = _record_states(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="node budget exhausted") as err:
+        search.longest_free_length(*args, budget=budget)
+    assert (err.value.nodes, err.value.best_length, err.value.exact) == (budget, best_length, False)
+    last = max(state.bit_count() for state in found)
+    assert sum(state.bit_count() < last for state in found) < budget < len(found)
+    assert search.longest_free_length(*args) == length
 
 
 def test_large_ring_builds_its_tables_a_block_at_a_time(capsys, monkeypatch):
