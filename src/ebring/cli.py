@@ -30,12 +30,12 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused, SpecParseError
+from .records import Record
 from .rings import (FiniteRing, make_from_table, make_gf, make_poly_quotient,
                     make_product, make_zmod, idempotents, _field_prime_power)
 from .ideals import ideal_index, maximal_ideals, nilradical, units
@@ -49,24 +49,21 @@ BUDGET_ENV = "EBRING_BUDGET"
 
 # ring spec parsing -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZmodAtom:
+class ZmodAtom(Record):
     n: int
 
     def render(self):
         return f"Z/{self.n}"
 
 
-@dataclass(frozen=True)
-class FieldAtom:
+class FieldAtom(Record):
     q: int
 
     def render(self):
         return f"GF({self.q})"
 
 
-@dataclass(frozen=True)
-class QuotientAtom:
+class QuotientAtom(Record):
     q: int
     coeffs: tuple[int, ...]
 
@@ -74,16 +71,14 @@ class QuotientAtom:
         return f"GF({self.q})[x]/({_render_int_poly(self.coeffs)})"
 
 
-@dataclass(frozen=True)
-class TableAtom:
+class TableAtom(Record):
     path: str
 
     def render(self):
         return f"table:{self.path}"
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(Record):
     atoms: tuple
 
     def render(self):
@@ -501,8 +496,8 @@ class _Command:
     or more values with ``variadic``; ``choices``, the fixed values of some
     positionals; ``flags``, (option, help) pairs that set the attribute named
     after the option; and whether it takes ``--budget N``. The handler gets
-    each one as an attribute. (A plain class: a dataclass costs about a
-    millisecond of import.)"""
+    each one as an attribute. (A plain class: nothing compares or hashes a
+    command, so it needs no ``records.Record`` base.)"""
 
     def __init__(self, handler, summary, positionals, flags=(), budget=False, choices=None,
                  variadic=False):

@@ -6,14 +6,13 @@ polynomial factorization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import gfpoly
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused
 from .ideals import (Ideal, crt_solve, ideal_generated_by, ideal_index,
                      maximal_ideals, power_chain, units)
+from .records import Record
 from .rings import (FiniteRing, MixedRadix, TABLE_CAP, idempotents, make_gf,
                     make_poly_quotient, make_zmod, prime_factors)
 from .search import longest_free_length
@@ -30,8 +29,7 @@ UNKNOWN = "unknown"
 
 # construction ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdealConstruction:
+class IdealConstruction(Record):
     """One maximal ideal's part of the construction: its chosen elements,
     their lifts, and the prefix products y_1...y_j for j = 1 .. k-1, each
     checked to lie in M^j and outside M^(j+1)."""
@@ -42,8 +40,7 @@ class IdealConstruction:
     products: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(Record):
     ring: FiniteRing
     per_ideal: tuple[IdealConstruction, ...]
     unit_witness: Sequence
@@ -173,8 +170,7 @@ def _subsequence_with_product(mul, terms, target):
     return None
 
 
-@dataclass(frozen=True)
-class LocalCaseCertificate:
+class LocalCaseCertificate(Record):
     ring: FiniteRing
     unit_part: Sequence
     ideal_part: Sequence
@@ -231,8 +227,7 @@ def local_case_certificate(ring: FiniteRing, seq: Sequence) -> LocalCaseCertific
                                 "nilpotent-product", witness, ring.zero)
 
 
-@dataclass(frozen=True)
-class SquarefreeCaseCertificate:
+class SquarefreeCaseCertificate(Record):
     ring: FiniteRing
     original: Sequence
     lifted: tuple[int, ...]
@@ -283,15 +278,13 @@ def squarefree_case_certificate(ring: FiniteRing, seq: Sequence) -> SquarefreeCa
 
 # reports ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaximalIdealSummary:
+class MaximalIdealSummary(Record):
     generators: tuple[str, ...]
     size: int
     index: int
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     ring_label: str
     ring_order: int
     units_order: int
@@ -371,8 +364,7 @@ def report(ring: FiniteRing, *, exact: bool = False, budget: int | None = None) 
 
 # factorization cross-checks -----------------------------------------------------
 
-@dataclass(frozen=True)
-class CoincidenceRecord:
+class CoincidenceRecord(Record):
     ring_label: str
     modulus: str
     factors: tuple[tuple[str, int], ...]

@@ -12,12 +12,12 @@ and the basis witness need only elementwise powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceeded, InternalConsistencyError, SearchRefused
 from .ideals import units
+from .records import Record
 from .rings import (TABLE_CAP, VALIDATION_CAP, FiniteRing, MixedRadix, _prime_power,
                     check_table_cap, prime_factors, row_blocks, vpower)
 from .search import longest_free_length
@@ -169,8 +169,7 @@ def invariant_factors(view: AbelianGroupView) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class DavenportResult:
+class DavenportResult(Record):
     """Exact Davenport constant with a maximal zero-sum-free witness."""
     value: int
     witness: Sequence

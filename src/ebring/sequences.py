@@ -9,15 +9,13 @@ sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .records import Record
 from .rings import idempotents
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(Record):
     carrier: object
     terms: tuple[int, ...]
 

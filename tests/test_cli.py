@@ -690,6 +690,26 @@ def test_cli_never_imports_numpy_ma():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_cli_imports_no_dataclasses():
+    """The package's records share one base class, so importing the CLI
+    execs no generated source and leaves ``dataclasses`` unimported."""
+    script = "import sys, ebring.cli\nassert 'dataclasses' not in sys.modules\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_atoms_of_different_kinds_are_different_records():
+    """build_ring builds each distinct atom once, keyed by the atom record,
+    so ZmodAtom(4) equal to FieldAtom(4) would build Z/4 x GF(4) as
+    Z/4 x Z/4, with 4 units in place of 2 * 3."""
+    assert cli.ZmodAtom(4) != cli.FieldAtom(4)
+    assert cli.ZmodAtom(4) == cli.ZmodAtom(n=4)
+    assert hash(cli.ZmodAtom(4)) == hash(cli.ZmodAtom(n=4))
+    assert report(build_ring("Z/4 x GF(4)")).units_order == 6
+    summary = erdos_burgess.MaximalIdealSummary(("x",), 4, 2)
+    assert repr(summary) == "MaximalIdealSummary(generators=('x',), size=4, index=2)"
+
+
 @pytest.mark.parametrize("preset", [None, "2"])
 def test_import_starts_no_blas_thread_pool(preset):
     """Importing ebring before numpy sets OPENBLAS_NUM_THREADS=1 unless the
@@ -750,7 +770,7 @@ def test_an_exact_value_past_the_upper_bound_exits_1(capsys, monkeypatch):
 def test_a_unit_group_past_the_table_cap_is_refused(capsys):
     """U(Z/27720) has 5,760 elements and rank above two, so D(U) needs the
     sweep and its position table; the table is refused before it is built
-    (5760^2 int64 entries), as a ring's tables are past the cap."""
+    (5760^2 int32 entries), as a ring's tables are past the cap."""
     assert run(["invariants", "Z/27720", "--budget", "1"]) == 2
     assert capsys.readouterr() == (
         "", "error: U(Z/27720) has 5760 elements, beyond the table cap 4096\n")
