@@ -80,6 +80,8 @@ def validate_group(view: AbelianGroupView) -> None:
     Associativity is Light's test, as in ``validate_ring``: the g with
     a*(g*b) = (a*g)*b for all a, b are closed under *, so it is enough to
     test the elements of a generating set, grown greedily on the table.
+    Commutativity is checked first, so (a*g)*b is a row gather of the table
+    and a*(g*b) is that gather's transpose: no column is gathered.
     """
     els = view.element_array()
     n = len(els)
@@ -106,7 +108,8 @@ def validate_group(view: AbelianGroupView) -> None:
     for g in range(n):
         if known[g]:
             continue
-        bad = np.argwhere(t[:, t[g]] != t[t[:, g]])
+        rows = t.take(t[g], axis=0)  # (a*g)*b; a*(g*b) is its transpose
+        bad = np.argwhere(rows.T != rows)
         if bad.size:
             i, j = bad[0]
             raise ValueError(f"associativity fails at ({els[i]}, {els[g]}, {els[j]})")

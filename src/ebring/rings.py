@@ -195,29 +195,42 @@ def validate_ring(ring: FiniteRing) -> None:
     test, Clifford–Preston I §1.2; for distributivity once + is associative,
     for · once distributivity holds), so G certifies every triple. Cost
     O(|G|·n²) instead of O(n³); |G| is at most 1 + log2(n) for a ring.
-    Commutativity, checked first, turns each side into a gather of whole rows
-    or columns of one table, with no transpose: (x∘g)∘y is the row gather
-    t.take(t[g], axis=0) and x∘(g∘y) the column gather t.take(t[g], axis=1);
-    x·(g + y) is the column gather m.take(a[g], axis=1), and g·x + x·y is the
-    row gather a.take(m[g], axis=0) read at the flat indices x·n + x·y, one
-    index plane built per call. Each compared array equals the direct one
-    entry by entry, so the first failing (x, g, y) is the same. The gathers
-    read uint16 copies of the tables, made once the closure checks have
-    passed (every order up to ``TABLE_CAP`` fits): half the bytes of int32.
+    Commutativity, checked first, turns each side into a row gather of one
+    table compared with its own transpose: (x∘g)∘y is the row gather
+    L = t.take(t[g], axis=0) and x∘(g∘y) = (g∘y)∘x is L.T; x·(g + y) is the
+    transpose of the row gather m.take(a[g], axis=0), and g·x + x·y is the
+    row gather a.take(m[g], axis=0) read at the flat indices of (x, x·y),
+    one index plane built per call. Each compared array equals the directly
+    indexed one entry by entry, so the first failing (x, g, y) is the same.
+    Commutativity and the gathers read uint16 copies of the tables (every
+    order up to ``TABLE_CAP`` fits), made after each closure check, whose
+    rows have spare columns: a transpose is read one row-step at a time, and
+    bare rows of a power-of-two size, 512 bytes at n = 256, put every step in
+    one cache set. Each row gather takes whole padded rows, so it keeps the
+    padded stride.
 
     Reads the tables, so it only applies up to the table cap.
     """
     a, m = ring.tables()
     n = ring.order
     rng = np.arange(n)
+    # 8 spare columns a row, so a transposed read does not step through one
+    # cache set (a bare uint16 row is 512 bytes at n = 256)
+    width = n + 8
+    padded = []
     for opname, t in (("addition", a), ("multiplication", m)):
         if int(t.min()) < 0 or int(t.max()) >= n:
             bad = np.argwhere((t < 0) | (t >= n))[0]
             raise AxiomViolation(f"{opname} closure", (int(bad[0]), int(bad[1])))
-        if not np.array_equal(t, t.T):
-            bad = np.argwhere(t != t.T)[0]
+        full = np.zeros((n, width), dtype=np.uint16)
+        full[:, :n] = t
+        u = full[:, :n]
+        if not np.array_equal(u, u.T):
+            bad = np.argwhere(u != u.T)[0]
             raise AxiomViolation(f"{opname} commutativity", (int(bad[0]), int(bad[1])))
-    a, m = a.astype(np.uint16), m.astype(np.uint16)
+        padded.append(full)
+    add, mul = padded
+    a, m = add[:, :n], mul[:, :n]
     if ring.zero == ring.one:
         raise AxiomViolation("distinct identities", (ring.zero,))
     if not np.array_equal(a[ring.zero], rng):
@@ -229,12 +242,14 @@ def validate_ring(ring: FiniteRing) -> None:
     if not bool((a == ring.zero).any(axis=1).all()):
         i = int(np.argwhere(~(a == ring.zero).any(axis=1))[0][0])
         raise AxiomViolation("additive inverse", (i,))
-    plane = m + n * rng[:, None]  # flat index of (x, x·y) in an n-by-n array
+    plane = m + width * rng[:, None]  # flat index of (x, x·y) in a padded n-by-width array
     for g in [ring.zero] + additive_span(ring, rng)[1]:
+        sums, products = add.take(a[g], axis=0)[:, :n], mul.take(m[g], axis=0)[:, :n]
         for axiom, left, right in (
-                ("addition associativity", a.take(a[g], axis=0), a.take(a[g], axis=1)),
-                ("multiplication associativity", m.take(m[g], axis=0), m.take(m[g], axis=1)),
-                ("distributivity", m.take(a[g], axis=1), a.take(m[g], axis=0).take(plane))):
+                ("addition associativity", sums, sums.T),
+                ("multiplication associativity", products, products.T),
+                ("distributivity", mul.take(a[g], axis=0)[:, :n].T,
+                 add.take(m[g], axis=0).take(plane))):
             if not np.array_equal(left, right):
                 x, y = np.argwhere(left != right)[0]
                 raise AxiomViolation(axiom, (int(x), g, int(y)))

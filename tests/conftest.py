@@ -382,6 +382,46 @@ def light_reference(ring):
                 raise AxiomViolation(axiom, (int(x), g, int(y)))
 
 
+def group_light_reference(view):
+    """``validate_group`` with Light's test indexed directly, a*(g*b) as
+    ``t[:, t[g]]`` against (a*g)*b as ``t[t[:, g]]``, after the same pair
+    checks: the reference for ``validate_group``, which compares a row
+    gather with its transpose and must raise the same ValueError. Keeps no
+    table on the view."""
+    els = view.element_array()
+    n = len(els)
+    e = view.elements.index(view.one)
+    prod = np.asarray(view.vmul(els[:, None], els[None, :]))
+    bad = np.flatnonzero(prod[e] != els)
+    if bad.size:
+        raise ValueError(f"identity fails at element {els[bad[0]]}")
+    t = np.minimum(np.searchsorted(els, prod), n - 1)
+    escapes = els[t] != prod
+    bad = np.argwhere(escapes | (prod != prod.T))
+    if bad.size:
+        i, j = bad[0]
+        if escapes[i, j]:
+            raise ValueError(f"operation escapes the carrier at ({els[i]}, {els[j]})")
+        raise ValueError(f"commutativity fails at ({els[i]}, {els[j]})")
+    bad = np.flatnonzero(~(t == e).any(axis=1))
+    if bad.size:
+        raise ValueError(f"element {els[bad[0]]} has no inverse")
+    known = np.zeros(n, dtype=bool)
+    known[e] = True
+    for g in range(n):
+        if known[g]:
+            continue
+        bad = np.argwhere(t[:, t[g]] != t[t[:, g]])
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"associativity fails at ({els[i]}, {els[g]}, {els[j]})")
+        while True:
+            members = np.flatnonzero(known)
+            known[t[members, g]] = True
+            if np.count_nonzero(known) == members.size:
+                break
+
+
 FAMILY_SPECS = (
     [f"Z/{n}" for n in range(2, 17)]
     + [f"GF({q})" for q in (2, 3, 4, 5, 7, 8, 9)]

@@ -13,8 +13,8 @@ from ebring.rings import MixedRadix, row_blocks
 from ebring.sequences import Sequence, product_set
 
 from conftest import (FAMILY_SPECS, RELABELLED, SMALL_GROUPS, basis_witness_oracle,
-                      davenport_input, dfs_reference, family_ring, naive_davenport, relabel,
-                      subset_products, zero_sum_free)
+                      davenport_input, dfs_reference, family_ring, group_light_reference,
+                      naive_davenport, relabel, subset_products, zero_sum_free)
 
 
 def _order(g, a):
@@ -126,6 +126,41 @@ def test_group_validation_rejects_broken_ops():
             (6, lambda a, b: _LOOP[a, b], "associativity fails at")):
         with pytest.raises(ValueError, match=message):
             AbelianGroupView(range(order), vmul, 0, "broken")
+
+
+def _group_verdict(validator, table):
+    """The ValueError text ``validator`` raises on a fresh, unvalidated view
+    of the position table ``table`` over 0..n-1 with identity 0, or None."""
+    view = AbelianGroupView(range(len(table)), lambda a, b: table[a, b], 0, "corrupted")
+    try:
+        validator(view)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_group_validation_row_gathers_keep_the_witness(monkeypatch):
+    """On commutative position tables with one or two symmetric corrupted
+    entries, and on the non-associative loop, ``validate_group`` raises the
+    same error as Light's test indexed directly."""
+    rng = random.Random(3)
+    monkeypatch.setattr(groups, "VALIDATION_CAP", 0)
+    cases = [_LOOP]
+    for spec in ([6], [2, 4], [3, 3], [2, 2, 2], [8], [2, 6], [4, 4], [2, 2, 8]):
+        table = synthetic_group(spec).table()
+        n = len(table)
+        singles = [(i, j, v) for i in range(n) for j in range(i, n) for v in range(n)
+                   if v != table[i, j]]
+        picks = [[c] for c in rng.sample(singles, min(len(singles), 150))]
+        picks += [rng.sample(singles, 2) for _ in range(30)]
+        for pick in picks:
+            bad = table.copy()
+            for i, j, v in pick:
+                bad[i, j] = bad[j, i] = v
+            cases.append(bad)
+    verdicts = [_group_verdict(groups.validate_group, t) for t in cases]
+    assert verdicts == [_group_verdict(group_light_reference, t) for t in cases]
+    assert sum(v is not None and v.startswith("associativity fails at") for v in verdicts) > 100
 
 
 @pytest.mark.parametrize("sizes", [[512], [2, 256], [8, 8, 8]])

@@ -408,6 +408,19 @@ def test_validator_row_gathers_keep_the_axiom_and_witness(monkeypatch):
         assert _verdict(validate_ring, bad) == _verdict(light_reference, bad), (spec, pick)
 
 
+def _corrupt(ring, t, i, j, value, symmetric):
+    """A copy of ``ring`` with entry (i, j) of its add (t = 0) or mul (t = 1)
+    table set to ``value``, or to 2^16 plus the true entry if it is None, and
+    entry (j, i) too if ``symmetric``; built unvalidated under the caller's
+    ``VALIDATION_CAP`` of 0."""
+    tables = [ring._add_t.copy(), ring._mul_t.copy()]
+    value = (1 << 16) + tables[t][i, j] if value is None else value
+    tables[t][i, j] = value
+    if symmetric:
+        tables[t][j, i] = value
+    return FiniteRing(ring.order, ring.zero, ring.one, "corrupted", tables=tables)
+
+
 _GF2_8 = " x ".join(["GF(2)"] * 8)
 
 
@@ -429,12 +442,56 @@ def test_validator_keeps_the_witness_above_256_elements(monkeypatch, spec, cases
     ring = family_ring(spec)
     monkeypatch.setattr(rings, "VALIDATION_CAP", 0)
     for (t, i, j, v), axiom in cases:
-        tables = [ring._add_t.copy(), ring._mul_t.copy()]
-        tables[t][i, j] = tables[t][j, i] = (1 << 16) + tables[t][i, j] if v is None else v
-        bad = FiniteRing(ring.order, ring.zero, ring.one, "corrupted", tables=tables)
+        bad = _corrupt(ring, t, i, j, v, symmetric=True)
         verdict = _verdict(validate_ring, bad)
         assert verdict == _verdict(light_reference, bad), (spec, t, i, j)
         assert verdict[0] == axiom, verdict
+
+
+@pytest.mark.parametrize("spec", ["GF(3)[x]/(x^5+x^4)", _GF2_8, "GF(2)[x]/(x^9)"])
+def test_validator_keeps_the_commutativity_witness(monkeypatch, spec):
+    """An asymmetric single-entry corruption of add or mul is caught by the
+    commutativity check on the padded uint16 copy, at a non-power-of-two
+    order, at 256 and at 512 elements, with Light's witness: the first
+    (x, y) in row order, whichever of (i, j) and (j, i) was changed. An
+    entry of 2^16 plus the true value, symmetric on the uint16 copy, is
+    still closure."""
+    ring = family_ring(spec)
+    n = ring.order
+    rng = random.Random(n)
+    monkeypatch.setattr(rings, "VALIDATION_CAP", 0)
+    for t, opname in enumerate(("addition", "multiplication")):
+        table = (ring._add_t, ring._mul_t)[t]
+        entries = [(n - 1, n - 2), (1, n - 1)] + [tuple(rng.sample(range(n), 2)) for _ in range(3)]
+        for i, j in entries:
+            v = (table[i, j] + 1 + rng.randrange(n - 1)) % n
+            bad = _corrupt(ring, t, i, j, int(v), symmetric=False)
+            verdict = _verdict(validate_ring, bad)
+            assert verdict == _verdict(light_reference, bad), (spec, t, i, j, v)
+            assert verdict == (f"{opname} commutativity", (min(i, j), max(i, j))), verdict
+        bad = _corrupt(ring, t, n - 1, n - 2, None, symmetric=False)
+        verdict = _verdict(validate_ring, bad)
+        assert verdict == _verdict(light_reference, bad)
+        assert verdict == (f"{opname} closure", (n - 1, n - 2))
+
+
+@pytest.mark.parametrize("corruption, axiom", [
+    ((0, 18, 210, 137), "addition associativity"),
+    ((1, 200, 0, 3), "multiplication associativity"),
+    ((1, 242, 38, 101), "distributivity"),
+    ((0, 26, 0, 145), "additive identity"),
+    ((1, 1, 5, 7), "multiplicative identity"),
+    ((0, 100, 173, 4), "additive inverse"),
+    ((1, 242, 241, None), "multiplication closure")])
+def test_validator_keeps_the_witness_at_243_elements(monkeypatch, corruption, axiom):
+    """At 243 elements, where a row is not a power of two long, one symmetric
+    corruption per axiom class gets Light's verdict and witness."""
+    ring = family_ring("GF(3)[x]/(x^5+x^4)")
+    monkeypatch.setattr(rings, "VALIDATION_CAP", 0)
+    bad = _corrupt(ring, *corruption, symmetric=True)
+    verdict = _verdict(validate_ring, bad)
+    assert verdict == _verdict(light_reference, bad), corruption
+    assert verdict[0] == axiom, verdict
 
 
 @pytest.mark.parametrize("ring", [pytest.param(ring, id=label) for label, ring in family_and_relabelled()])
