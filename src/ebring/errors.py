@@ -31,8 +31,8 @@ class BudgetExceeded(RuntimeError):
 
     ``best_length`` is the longest free sequence proven to exist before the
     search stopped: a lower bound only, explicitly not exact. ``nodes`` is the
-    number of search nodes expanded by then; a sweep out of room counts the
-    popcount levels it finished.
+    number of search nodes expanded by then; for a sweep out of room, the
+    product sets expanded in the popcount levels it finished.
     """
 
     def __init__(self, message: str, best_length: int = 0, nodes: int = 0):

@@ -166,7 +166,7 @@ def factor_monic(field, f):
     return factors
 
 
-def render(field, coeffs, var: str = "x") -> str:
+def render(field, coeffs) -> str:
     """Sparse human form, descending degree: "x^3+2x+1", "0" for zero."""
     if not coeffs:
         return "0"
@@ -181,5 +181,5 @@ def render(field, coeffs, var: str = "x") -> str:
             parts.append(wrapped)
         else:
             head = "" if c == field.one else wrapped
-            parts.append(f"{head}{var}" if d == 1 else f"{head}{var}^{d}")
+            parts.append(f"{head}x" if d == 1 else f"{head}x^{d}")
     return "+".join(parts) if parts else "0"

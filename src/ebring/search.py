@@ -46,12 +46,10 @@ blocks that fit in ``STEP_TABLE_WORDS`` words, each built at most once per
 level, when a free step needs it; the empty set needs none, as its children
 are the singletons. The count of states expanded does not depend on the
 labelling. The pending product sets are held within ``PENDING_CAP`` words,
-so memory is bounded whatever the budget. The cap is decided before each
-level expands, the empty set's included: when the level could pass it, its
-free steps are counted from the masks alone, block by block, and the sweep
-stops where expansion would have passed the cap, with the same counters. The
-count is exact on every level, as every free step it counts is filed, and it
-is the only cap check. The sweep gives no witness.
+so memory is bounded whatever the budget: every level, the empty set's
+included, counts its free steps once, before it builds a table, and the sweep
+stops at the block whose count passes the cap; otherwise the level files the
+steps it counted. The sweep gives no witness.
 
 The reference DFS, ``max_free_sequence``, has no caller in the package: the
 tests check the sweep's values against it, and the benchmark's tracer names
@@ -331,27 +329,6 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
     held = words  # words of the pending product sets
     cap_passed = f"pending product sets passed the cap of {PENDING_CAP} words"
 
-    def blocks(starts):
-        """A level's blocks in sweep order, as (lo, hi, first, i, j): the
-        states i .. j - 1 by the candidates first .. hi - 1 of the table block
-        lo .. hi - 1, first being state i's start or lo."""
-        for lo, hi in bounds:
-            # states go in order of start, so a block's first has the least
-            todo, i = int(starts.searchsorted(hi)), 0
-            while i < todo:
-                first = max(int(starts[i]), lo)
-                j = min(todo, i + max(1, SWEEP_BLOCK // ((hi - first) * words)))
-                yield lo, hi, first, i, j
-                i = j
-
-    def free_steps(states, starts, first, hi):
-        """The free steps of ``states`` by the candidates first .. hi - 1 at or
-        after each state's start, as flat (state, candidate) indices."""
-        clash = states[:, None, 0] & amask[first:hi, 0]
-        for w in range(1, words):  # a word at a time: numpy reduces a short last axis slowly
-            clash |= states[:, None, w] & amask[first:hi, w]
-        return ((clash == 0) & (positions[first:hi] >= starts[:, None])).ravel().nonzero()[0]
-
     def file(kids, kid_dists, kid_starts):
         """Files free children at their popcount levels."""
         nonlocal best, held
@@ -376,38 +353,47 @@ def longest_free_length(mul_rows, candidates, forbidden, *,
         if over:
             keep = budget - nodes
             states, dists, starts = states[:keep], dists[:keep], starts[:keep]
-        if held + len(states) * len(cands) * words > PENDING_CAP:
-            # count the level's free steps block by block before any table
-            # is built, and stop where its expansion would pass the cap
-            room, top = PENDING_CAP - held, best
-            for _, hi, first, i, j in blocks(starts):
-                free = free_steps(states[i:j], starts[i:j], first, hi)
+        # the level's free steps in sweep order, block by block, counted
+        # against the cap before any table is built; the empty set's children
+        # are the singletons, so its candidates form one block with no table
+        plan, room = [], PENDING_CAP - held
+        for lo, hi in bounds if level else [(0, len(cands))]:
+            # states go in order of start, so a block's first has the least
+            todo, i = int(starts.searchsorted(hi)), 0
+            while i < todo:
+                first = max(int(starts[i]), lo)
+                j = min(todo, i + max(1, SWEEP_BLOCK // ((hi - first) * words)))
+                clash = states[i:j, None, 0] & amask[first:hi, 0]
+                for w in range(1, words):  # a word at a time: numpy reduces a short last axis slowly
+                    clash |= states[i:j, None, w] & amask[first:hi, w]
+                free = ((clash == 0) & (positions[first:hi] >= starts[i:j, None])).ravel().nonzero()[0]
                 if len(free):
-                    top = max(top, int(dists[i + free // (hi - first)].max()) + 1)
+                    plan.append((lo, hi, first, i, j, free))
                     room -= len(free) * words
-                    if room < 0:
-                        raise BudgetExceeded(cap_passed, top, nodes)
-        if not level:  # the empty set's children are the singletons, with no table
-            if len(states) and len(cands):
-                file(_bit_rows(cands, words), np.ones(len(cands), dtype=_SMALL), positions)
-        else:
-            for lo, hi, first, i, j in blocks(starts):
-                free = free_steps(states[i:j], starts[i:j], first, hi)
-                if not len(free):
-                    continue
+                    if room < 0:  # proven: one step past the deepest state counted
+                        raise BudgetExceeded(cap_passed, max([best] + [
+                            int(dists[at + steps // (end - col)].max()) + 1
+                            for _, end, col, at, _, steps in plan]), nodes)
+                i = j
+        plan.reverse()
+        while plan:  # each entry is dropped as its children are filed
+            lo, hi, first, i, j, free = plan.pop()
+            rows, cols = np.divmod(free, hi - first)
+            cols += first
+            if not level:
+                kids = _bit_rows(cands[cols], words)
+            else:
                 if table is None or table[0] != lo:
                     table = None  # dropped before the next block's is built
                     table = (lo, _step_tables(mul, cands[lo:hi], words).reshape(-1, words),
                              np.arange(chunks, dtype=np.intp)[:, None] * ((hi - lo) << 8))
-                rows, cols = np.divmod(free, hi - first)
-                cols += first
                 # index[c, k]: the row of entry [c, col - lo, byte c of the state] of step k;
                 # take copies a strided array whole, so it reads the block's bytes only
                 index = table[2] + ((cols - lo) << 8)
                 index += states[i:j].view(np.uint8)[:, :chunks].take(rows, axis=0).T
-                rows += i
                 kids = np.bitwise_or.reduce(table[1].take(index, axis=0), axis=0)
-                file(kids, dists[rows] + 1, positions[cols])
+            rows += i
+            file(kids, dists[rows] + 1, positions[cols])
         nodes += len(states)
         if over:
             raise BudgetExceeded("node budget exhausted", best, nodes)

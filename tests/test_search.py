@@ -353,6 +353,70 @@ def test_node_budget_stops_the_sweep_inside_a_level(monkeypatch, step_words, blo
     assert search.longest_free_length(*args) == length
 
 
+# Each cap's outcome: the sweep's value, or the (best_length, nodes) of its stop
+# at the cap. nodes counts the product sets of the levels finished; the best
+# length is one past the deepest state whose free steps were counted when the
+# count passed the cap, so it can depend on the blocks, and is then given for
+# each setting in order.
+CAP_STOPS = [
+    (lambda: _exact_input(family_ring("Z/16")),
+     {5: (1, 0), 20: (2, 1), 60: (2, 1), 200: (4, 40), 700: 7}),
+    (lambda: _exact_input(family_ring("Z/27")),
+     {5: (1, 0), 20: (1, 0), 60: (2, 1), 200: (2, 1), 700: (3, 26), 2000: (4, 75),
+      7000: (7, 1037)}),
+    (lambda: _exact_input(family_ring("Z/9 x GF(2) x GF(2) x GF(2)")),
+     {5: (1, 0), 20: (1, 0), 60: (1, 0), 200: (2, 1), 700: (2, 1), 2000: (2, 1),
+      7000: ((4, 3, 3), 189), 20000: (4, 189), 70000: ((5, 6, 5), 4798)}),
+    (lambda: davenport_input(synthetic_group([2, 2, 6])),
+     {5: (1, 0), 20: (1, 0), 60: (2, 1), 200: (2, 1), 700: (4, 39), 2000: (6, 228), 7000: 7}),
+]
+
+
+@pytest.mark.parametrize("setting, step_words, block", [
+    (0, search.STEP_TABLE_WORDS, search.SWEEP_BLOCK), (1, 0, search.SWEEP_BLOCK),
+    (2, search.STEP_TABLE_WORDS, 1)], ids=["one-block", "per-candidate", "per-state"])
+@pytest.mark.parametrize("carrier, stops", CAP_STOPS,
+                         ids=["Z/16", "Z/27", "Z/9 x GF(2)^3", "C2 x C2 x C6"])
+def test_pending_cap_stops_the_sweep_where_its_count_passes(monkeypatch, setting, step_words,
+                                                            block, carrier, stops):
+    """The sweep counts each level's free steps against ``PENDING_CAP`` before
+    it files any, so a cap stops it at the same level, with the same counters,
+    however the candidates and states are blocked; a cap above the sweep's
+    peak lets it finish."""
+    monkeypatch.setattr(search, "STEP_TABLE_WORDS", step_words)
+    monkeypatch.setattr(search, "SWEEP_BLOCK", block)
+    args = carrier()
+    for cap, want in stops.items():
+        monkeypatch.setattr(search, "PENDING_CAP", cap)
+        if isinstance(want, int):
+            assert search.longest_free_length(*args) == want, cap
+            continue
+        with pytest.raises(BudgetExceeded) as err:
+            search.longest_free_length(*args)
+        best = want[0] if isinstance(want[0], int) else want[0][setting]
+        assert str(err.value) == f"pending product sets passed the cap of {cap} words"
+        assert (err.value.best_length, err.value.nodes, err.value.exact) == (best, want[1], False), cap
+
+
+@pytest.mark.parametrize("cap", [1 << 20, 1 << 22])
+def test_pending_cap_bounds_the_sweep_memory(monkeypatch, cap):
+    """Stopped at the cap, the sweep of C3 x C3 x C6 (one word per product set)
+    has peaked below 2.5 bytes per byte of the cap. Besides the pending
+    product sets it holds their lengths and starts, a level's copies while it
+    is deduplicated and filed, and a level's counted free steps, 8 bytes
+    each, until their children are built."""
+    monkeypatch.setattr(search, "PENDING_CAP", cap)
+    args = davenport_input(synthetic_group([3, 3, 6]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="passed the cap"):
+            search.longest_free_length(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * cap * 8
+
+
 def test_large_ring_builds_its_tables_a_block_at_a_time(capsys, monkeypatch):
     """256 elements: the step tables of every candidate would take 64 MiB;
     the sweep holds those of one block of candidates, at most
